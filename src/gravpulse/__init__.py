@@ -23,7 +23,7 @@ from .multiphoton import (PhotonKind, PhotonStatistics, coherent_overlap,
 from .optimize import (FlatObjectiveWarning, Objective, OptimizationResult,
                        maximize_shift, naive_corrected_overlap)
 from .overlap import (OverlapResult, SubPeak, evaluate_overlap, lambda_pure,
-                      overlap_mixed, overlap_multipeak, overlap_pure)
+                      overlap_batch, overlap_mixed, overlap_multipeak, overlap_pure)
 from .profiles import (DimensionfulFrame, Profile, ProfileKind, comb,
                        comb_tooth_positions, evaluate, gaussian_linear,
                        gaussian_quadratic, jacobi_theta3, modulus, normalization,

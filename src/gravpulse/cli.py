@@ -15,7 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import analytic, validation
-from .errors import ConfigError, NonConvergenceError, ValidityError
+from .errors import (ConfigError, GridMismatchError, NonConvergenceError,
+                     SupportEscapeError, ValidityError)
 from .multiphoton import PhotonKind, coherent_overlap, fock_overlap, squeezed_overlap
 from .optimize import (FlatObjectiveWarning, Objective, maximize_shift,
                        naive_corrected_overlap)
@@ -34,6 +35,11 @@ CSV_HEADER = ("param,chi,delta1,z_bar_opt,delta_omega_opt_rad_s,"
 # Below this |delta1| the overlap deficits (~delta1^2) drown in quadrature
 # noise and sweeps fall back to the weak-field analytic path.
 ANALYTIC_FALLBACK_DELTA1 = 1e-7
+
+# `purity` holds about 96 bytes per grid bin at its peak; requests whose
+# estimate exceeds the cap are refused before anything is allocated.
+PURITY_BYTES_PER_BIN = 128
+MAX_PURITY_BYTES = 2**29
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -297,6 +303,14 @@ def cmd_sweep(sc: Scenario, tol: float, workers: int, out) -> int:
 
 
 def cmd_purity(sc: Scenario, n_bins: int, out) -> int:
+    if n_bins < 2:
+        raise ConfigError(f"--bins must be at least 2, got {n_bins}")
+    need = n_bins * PURITY_BYTES_PER_BIN
+    if need > MAX_PURITY_BYTES:
+        raise ConfigError(
+            f"--bins {n_bins} needs ~{need / 2**20:.0f} MiB, above the "
+            f"{MAX_PURITY_BYTES // 2**20} MiB cap "
+            f"(at most {MAX_PURITY_BYTES // PURITY_BYTES_PER_BIN} bins)")
     chi, _, _ = _chi_and_deltas(sc)
     grid = FrequencyGrid.centered(n_bins, 20.0 / n_bins)
     print(f"chi = {_fmt(chi)}", file=out)
@@ -349,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NonConvergenceError,) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValidityError as exc:
+    except (ValidityError, SupportEscapeError, GridMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:

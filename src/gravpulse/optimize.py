@@ -3,10 +3,17 @@
 The optimizer locates the global maximizer of z_bar -> Delta(z_bar) with a
 coarse grid scan (global; pitch kept below a quarter tooth spacing for
 combs, whose objective is multimodal) followed by golden-section
-refinement and a parabolic polish on the log-objective.  The polish step
-matters: near the top the objective varies by less than the quadrature
-noise over the golden bracket, and the three-point vertex estimate with a
-finite stencil recovers the maximizer to ~1e-9.
+refinement and a parabolic polish on the log-objective.  Every objective
+value comes from the fixed-node kernel `overlap.overlap_batch`: the scan
+is one batched call, each polish stencil and the final gradient check one
+call of three shifts, and the reported overlaps are the kernel's values
+at the optimum from that last call.
+
+The polish step matters: near the top the objective varies by less than
+its floating-point rounding over the final golden bracket, so golden
+section alone stops near sqrt(machine epsilon), while the three-point
+vertex of log(objective) on a finite stencil recovers the maximizer to
+~1e-9.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidityError
-from .overlap import overlap_mixed, overlap_pure
+from .overlap import overlap_batch
+# Not called here; perfbench's tracer tests look the name up on this module.
+from .overlap import overlap_pure  # noqa: F401
 from .profiles import DimensionfulFrame, Profile
 from .spacetime import classical_redshift
 
@@ -58,12 +67,6 @@ class OptimizationResult:
     converged: bool
 
 
-def _objective_fn(profile: Profile, chi: float, which: Objective, tol: float):
-    if which is Objective.PURE:
-        return lambda zb: overlap_pure(profile, chi, zb, tol=tol)
-    return lambda zb: overlap_mixed(profile, chi, zb, tol=tol)
-
-
 def maximize_shift(profile: Profile, chi: float, which: Objective,
                    frame: DimensionfulFrame | None = None,
                    window: float = SCAN_HALF_WIDTH,
@@ -71,27 +74,31 @@ def maximize_shift(profile: Profile, chi: float, which: Objective,
                    quad_tol: float = 1e-12) -> OptimizationResult:
     """Globally maximize the chosen overlap over z_bar in [-window, window].
 
-    Grid-ties within 1e-13 resolve toward the smallest |z_bar|.  When the
-    scan cannot resolve any variation, or the deformation 1 - Delta is
-    itself below 1e-13, a FlatObjectiveWarning is emitted and z_bar = 0 is
-    returned.
+    Every objective value comes from `overlap_batch` at tolerance
+    `quad_tol`.  Grid-ties within 1e-13 resolve toward the smallest
+    |z_bar|.  When the scan cannot resolve any variation, or the
+    deformation 1 - Delta is itself below 1e-13, a FlatObjectiveWarning is
+    emitted and z_bar = 0 is returned.
     """
     if not (chi > 0.0 and math.isfinite(chi)):
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
-    f = _objective_fn(profile, chi, which, quad_tol)
     n_evals = 0
+    last = None
 
-    def ev(x: float) -> float:
-        nonlocal n_evals
-        n_evals += 1
-        return f(x)
+    def ev(xs) -> np.ndarray:
+        # Objective at each shift of xs; `last` keeps both overlaps.
+        nonlocal n_evals, last
+        lam, dm = overlap_batch(profile, chi, xs, tol=quad_tol)
+        n_evals += lam.size
+        last = (lam, dm)
+        return np.abs(lam) if which is Objective.PURE else dm
 
     n_points = SCAN_POINTS
     if profile.kind.is_comb:
         # multimodal objective with period ~ d_tilde*chi: pitch < d_tilde/4
         n_points = max(n_points, int(math.ceil(8.0 * window / profile.d_tilde)) + 1)
     grid = np.linspace(-window, window, n_points)
-    vals = np.array([ev(x) for x in grid])
+    vals = ev(grid)
 
     spread = float(vals.max() - vals.min())
     if spread < FLAT_SPREAD or 1.0 - float(vals.max()) < FLAT_SPREAD:
@@ -102,14 +109,15 @@ def maximize_shift(profile: Profile, chi: float, which: Objective,
             "overlap deformation is below machine resolution over the scan "
             "window; returning z_bar = 0 (consider an exaggerated chi "
             "override for numeric studies)", FlatObjectiveWarning)
-        return _finish(profile, chi, 0.0, n_evals, True, frame, quad_tol)
+        ev([0.0])
+        return _finish(profile, chi, 0.0, last[0][0], last[1][0], n_evals, True, frame)
 
     near_best = np.flatnonzero(vals > vals.max() - FLAT_SPREAD)
     i = int(near_best[np.argmin(np.abs(grid[near_best]))])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, n_points - 1)]
 
-    x, _ = _golden_max(ev, lo, hi, xtol)
+    x, _ = _golden_max(lambda z: float(ev([z])[0]), lo, hi, xtol)
 
     # Parabolic polish on log(objective): two passes with shrinking stencils.
     converged = True
@@ -119,22 +127,24 @@ def maximize_shift(profile: Profile, chi: float, which: Objective,
             x = x_new
         else:
             converged = False
-    # Gradient check: the stationary-point residual at the reported optimum.
-    g = (ev(x + 1e-5) - ev(x - 1e-5)) / 2e-5
+    # Gradient check: the stationary-point residual at the reported optimum,
+    # evaluated together with the optimum itself.
+    y = ev([x - 1e-5, x, x + 1e-5])
+    g = (y[2] - y[0]) / 2e-5
     converged = converged and abs(g) < 1e-5
-    return _finish(profile, chi, x, n_evals, converged, frame, quad_tol)
+    return _finish(profile, chi, x, last[0][1], last[1][1], n_evals, converged, frame)
 
 
-def _finish(profile: Profile, chi: float, z_bar: float, n_evals: int,
-            converged: bool, frame: DimensionfulFrame | None,
-            quad_tol: float = 1e-12) -> OptimizationResult:
-    dp = overlap_pure(profile, chi, z_bar, tol=quad_tol)
-    dm = overlap_mixed(profile, chi, z_bar, tol=quad_tol)
+def _finish(profile: Profile, chi: float, z_bar: float, lam: complex, dm: float,
+            n_evals: int, converged: bool,
+            frame: DimensionfulFrame | None) -> OptimizationResult:
+    """Result at z_bar from the kernel's overlaps there."""
     if frame is not None:
         domega = classical_redshift(z_bar, chi, frame.sigma, profile.z0)
     else:
         domega = float("nan")
-    return OptimizationResult(z_bar_opt=z_bar, delta_p_opt=dp, delta_m_opt=dm,
+    return OptimizationResult(z_bar_opt=z_bar, delta_p_opt=float(abs(lam)),
+                              delta_m_opt=float(dm),
                               delta_omega_opt=domega, n_evals=n_evals,
                               converged=converged)
 
@@ -158,7 +168,8 @@ def _golden_max(f, a: float, b: float, xtol: float, max_iter: int = 120):
 
 
 def _log_parabola_vertex(f, x: float, h: float, lo: float, hi: float):
-    """Vertex of the parabola through log f at x-h, x, x+h.
+    """Vertex of the parabola through log f at x-h, x, x+h, with the three
+    values from one call f([x-h, x, x+h]).
 
     Returns (x, False) unchanged when the stencil leaves the bracket, the
     objective is non-positive, or the curvature is not concave.
@@ -167,10 +178,10 @@ def _log_parabola_vertex(f, x: float, h: float, lo: float, hi: float):
         h = min(h, 0.5 * min(x - lo, hi - x))
         if h <= 0.0:
             return x, False
-    try:
-        y0, y1, y2 = math.log(f(x - h)), math.log(f(x)), math.log(f(x + h))
-    except ValueError:
+    vals = f([x - h, x, x + h])
+    if not np.all(vals > 0.0):
         return x, False
+    y0, y1, y2 = (math.log(v) for v in vals)
     curv = y0 - 2.0 * y1 + y2
     if curv >= 0.0:
         return x, False
@@ -184,4 +195,5 @@ def naive_corrected_overlap(profile: Profile, chi: float, which: Objective,
                             tol: float = 1e-12) -> float:
     """Overlap at z_bar = 0, i.e. after the rigid carrier-tracking shift
     delta_omega = -kappa*omega0 with no further optimization."""
-    return _objective_fn(profile, chi, which, tol)(0.0)
+    lam, dm = overlap_batch(profile, chi, [0.0], tol=tol)
+    return float(abs(lam[0])) if which is Objective.PURE else float(dm[0])

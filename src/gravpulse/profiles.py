@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NonConvergenceError, ValidityError
 
@@ -242,8 +241,18 @@ def modulus(profile: Profile, z):
                 acc += math.exp(-e)
         return c * math.exp(-0.25 * zf * zf) * acc
     z = np.asarray(z, dtype=float)
-    tooth_sum = np.exp(-s2over4 * (z[..., None] - teeth) ** 2).sum(axis=-1)
-    return c * np.exp(-0.25 * z * z) * tooth_sum
+    tooth_sum = np.zeros_like(z)
+    term = np.empty_like(z)
+    for t in teeth:
+        np.subtract(z, t, out=term)
+        term *= term
+        term *= -s2over4
+        tooth_sum += np.exp(term, out=term)
+    np.multiply(z, z, out=term)
+    term *= -0.25
+    tooth_sum *= np.exp(term, out=term)
+    tooth_sum *= c
+    return tooth_sum
 
 
 def phase(profile: Profile, z):
@@ -289,6 +298,8 @@ def normalization(profile: Profile, tol: float = 1e-10) -> float:
     measures the residual tooth cross-overlap neglected by the theta_3
     normalization plus tail truncation.
     """
+    from scipy.integrate import quad
+
     lim = profile.z_extent
     pts = list(profile._teeth) if profile.kind.is_comb else None
     val, err = quad(lambda x: modulus(profile, x) ** 2, -lim, lim,

@@ -240,3 +240,65 @@ def test_nonconvergence_maps_to_exit_3(desk_config, monkeypatch, capsys):
     monkeypatch.setattr(cli, "evaluate_overlap", explode)
     assert main(["overlap", "--config", desk_config]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_overlap_nonfinite_z_bar_is_config_error(desk_config, value, capsys):
+    assert main(["overlap", "--config", desk_config, f"--z-bar={value}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_purity_support_escape_is_config_error(capsys):
+    # chi < 1 widens the received profile past the default 20-width grid
+    assert main(["purity", "--chi", "0.5", "--preset", "desk-scale"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_grid_mismatch_is_config_error(desk_config, monkeypatch, capsys):
+    from gravpulse import cli
+    from gravpulse.errors import GridMismatchError
+
+    def mismatch(a, b):
+        raise GridMismatchError("states live on different grids")
+
+    monkeypatch.setattr(cli, "fidelity", mismatch)
+    assert main(["purity", "--config", desk_config, "--bins", "1024"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: states live on different grids"]
+
+
+def test_purity_bins_cap_rejects_before_allocating():
+    # Run in a child with a 1 GiB address-space limit, so that a missing
+    # cap fails with MemoryError instead of exhausting the host.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    code = ("import tracemalloc\n"
+            "from gravpulse.cli import main\n"
+            "tracemalloc.start()\n"
+            "rc = main(['purity', '--preset', 'desk-scale', '--bins', str(10**8)])\n"
+            "print(rc, tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, preexec_fn=limit)
+    rc, peak = proc.stdout.split()
+    assert int(rc) == 2
+    assert int(peak) < 2**20
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_purity_rejects_too_few_bins(capsys):
+    assert main(["purity", "--preset", "desk-scale", "--bins", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_import_cli_leaves_scipy_integrate_unloaded():
+    code = "import sys, gravpulse.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from gravpulse.analytic import gaussian_quadratic_optimal
 from gravpulse.optimize import (FlatObjectiveWarning, Objective, maximize_shift,
                                 naive_corrected_overlap)
-from gravpulse.overlap import overlap_mixed, overlap_pure
+from gravpulse import overlap
+from gravpulse.overlap import CHUNK_BYTES, overlap_mixed, overlap_pure
 from gravpulse.profiles import DimensionfulFrame, comb, gaussian_linear, gaussian_quadratic
 from gravpulse.spacetime import classical_redshift, kappa
 
@@ -92,3 +94,33 @@ def test_delta_omega_fills_from_frame():
 def test_eval_counter_positive():
     res = maximize_shift(gaussian_linear(0.5), 1.03, Objective.MIXED)
     assert res.n_evals > 200
+
+
+def test_optimizer_makes_no_quadrature_call(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("the optimizer must run on the fixed-node kernel")
+
+    monkeypatch.setattr(overlap, "quad", no_quad)
+    prof = gaussian_quadratic(0.7, z0=20.0)
+    res = maximize_shift(prof, 1.02, Objective.PURE)
+    naive = naive_corrected_overlap(prof, 1.02, Objective.PURE)
+    monkeypatch.undo()
+    # the reported overlaps are the kernel's, and agree with quadrature
+    assert res.delta_p_opt == pytest.approx(
+        overlap_pure(prof, 1.02, res.z_bar_opt, tol=1e-12), abs=1e-12)
+    assert res.delta_m_opt == pytest.approx(
+        overlap_mixed(prof, 1.02, res.z_bar_opt, tol=1e-12), abs=1e-12)
+    assert naive == pytest.approx(overlap_pure(prof, 1.02, 0.0, tol=1e-12), abs=1e-12)
+
+
+def test_comb_scan_memory_stays_within_chunk_budget():
+    prof = comb(25.0, 0.5, phi_tilde=1.0)
+    assert prof.n_max == 18                      # 37 teeth
+    tracemalloc.start()
+    try:
+        res = maximize_shift(prof, 1.01, Objective.MIXED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(res.z_bar_opt) < 1e-6
+    assert peak < CHUNK_BYTES + 2**20

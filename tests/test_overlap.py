@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gravpulse.analytic import gaussian_linear_closed
-from gravpulse.errors import ValidityError
-from gravpulse.overlap import (SubPeak, evaluate_overlap, lambda_pure,
+from gravpulse import overlap
+from gravpulse.errors import NonConvergenceError, ValidityError
+from gravpulse.overlap import (SubPeak, evaluate_overlap, lambda_pure, overlap_batch,
                                overlap_mixed, overlap_multipeak, overlap_pure)
 from gravpulse.profiles import comb, gaussian_linear, gaussian_quadratic, modulus
 
@@ -138,3 +139,92 @@ def test_multipeak_normalization_guard():
     peaks = [SubPeak(0.0, 1.0, lambda u: 1.0)]
     with pytest.raises(ValidityError):
         overlap_multipeak(env, peaks, 1.0, 0.0)
+
+
+# -- fixed-node kernel -----------------------------------------------------------
+
+
+def _random_profile(rng, family):
+    if family == "gaussian_linear":
+        return gaussian_linear(rng.uniform(-3, 3), z0=rng.uniform(0, 100))
+    if family == "gaussian_quadratic":
+        return gaussian_quadratic(rng.uniform(0, 1.5), z0=rng.uniform(0, 100))
+    sigma, d = (10.0, 2.0) if family.endswith("10") else (25.0, 0.5)
+    if family.startswith("comb_linear"):
+        return comb(sigma, d, phi_tilde=rng.uniform(-2, 2))
+    return comb(sigma, d, phi_tilde=rng.uniform(0, 1.5), phase_kind="quadratic",
+                delta_z0=rng.uniform(-1, 1))
+
+
+@pytest.mark.parametrize("family, cases, shifts", [
+    ("gaussian_linear", 8, 3),
+    ("gaussian_quadratic", 8, 3),
+    ("comb_linear_10", 4, 2),
+    ("comb_quadratic_10", 4, 2),
+    ("comb_linear_25", 2, 2),
+    ("comb_quadratic_25", 2, 2),
+])
+def test_batch_kernel_matches_quadrature(family, cases, shifts):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for _ in range(cases):
+        prof = _random_profile(rng, family)
+        chi = rng.uniform(0.9, 1.1)
+        z_bars = rng.uniform(-3.0, 3.0, size=shifts)
+        lam, dm = overlap_batch(prof, chi, z_bars, tol=1e-12)
+        for zb, lam_k, dm_k in zip(z_bars, lam, dm):
+            assert abs(lam_k - lambda_pure(prof, chi, zb, tol=1e-12)) <= 1e-12
+            assert abs(dm_k - overlap_mixed(prof, chi, zb, tol=1e-12)) <= 1e-12
+
+
+@pytest.mark.parametrize("profile", [
+    gaussian_linear(1.5),
+    # the phase rate grows with z_bar, so shifts stop at different levels
+    gaussian_quadratic(1.5, z0=50.0),
+    comb(10.0, 2.0, phi_tilde=1.0),
+    comb(10.0, 2.0, phi_tilde=0.7, phase_kind="quadratic", delta_z0=0.4),
+])
+def test_batch_kernel_is_independent_of_batching(profile, monkeypatch):
+    chi = 1.05
+    z_bars = np.linspace(-10.0, 10.0, 41)
+    lam, dm = overlap_batch(profile, chi, z_bars, tol=1e-12)
+    for i, zb in enumerate(z_bars):
+        lam_1, dm_1 = overlap_batch(profile, chi, [zb], tol=1e-12)
+        assert lam_1[0] == lam[i] and dm_1[0] == dm[i]
+    # a budget of a few rows splits the batch into many chunks
+    monkeypatch.setattr(overlap, "CHUNK_BYTES", 200_000)
+    lam_c, dm_c = overlap_batch(profile, chi, z_bars, tol=1e-12)
+    assert np.array_equal(lam_c, lam) and np.array_equal(dm_c, dm)
+
+
+def test_batch_kernel_raises_at_node_cap(monkeypatch):
+    prof = gaussian_quadratic(0.7, z0=3.0)
+    overlap_batch(prof, 1.05, [0.0, 1.0], tol=1e-12)   # converges under the default cap
+    # the first level has 84 intervals; a cap of 128 stops the first halving
+    monkeypatch.setattr(overlap, "MAX_INTERVALS", 128)
+    with pytest.raises(NonConvergenceError):
+        overlap_batch(prof, 1.05, [0.0, 1.0], tol=1e-12)
+
+
+def test_batch_kernel_refuses_unresolvable_phase():
+    # z0 ~ 1e6 makes the phase oscillate ~1e5 times per envelope width
+    with pytest.raises(NonConvergenceError):
+        overlap_batch(gaussian_quadratic(0.7, z0=1.215e6), 1.05, [0.0])
+
+
+def test_batch_kernel_invalid_inputs():
+    prof = gaussian_linear(1.0)
+    for z_bars in ([0.0, float("nan")], [float("inf")]):
+        with pytest.raises(ValidityError):
+            overlap_batch(prof, 1.05, z_bars)
+    with pytest.raises(ValidityError):
+        overlap_batch(prof, 0.0, [0.0])
+    with pytest.raises(ValidityError):
+        overlap_batch(prof, 1.05, [0.0], tol=0.0)
+
+
+@pytest.mark.parametrize("z_bar", [float("nan"), float("inf")])
+def test_quadrature_rejects_nonfinite_shift(z_bar):
+    with pytest.raises(ValidityError):
+        lambda_pure(gaussian_linear(1.0), 1.05, z_bar)
+    with pytest.raises(ValidityError):
+        overlap_mixed(gaussian_linear(1.0), 1.05, z_bar)

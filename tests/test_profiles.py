@@ -145,6 +145,18 @@ def test_comb_truncation_stability():
     assert np.max(np.abs(modulus(p1, zs) - modulus(p2, zs))) < 1e-13
 
 
+@pytest.mark.parametrize("sig, d", [(10.0, 2.0), (25.0, 0.5)])
+def test_comb_array_modulus_matches_scalar_loop(sig, d):
+    p = comb(sig, d)
+    zs = np.linspace(-p.z_extent, p.z_extent, 301).reshape(7, 43)
+    arr = modulus(p, zs)
+    assert arr.shape == zs.shape
+    ref = np.vectorize(lambda z: modulus(p, float(z)))(zs)
+    # the tooth sums differ only in summation order and in the terms below
+    # exp(-60) that the scalar loop skips
+    assert np.max(np.abs(arr - ref)) <= 16 * np.finfo(float).eps * modulus(p, 0.0)
+
+
 def test_comb_preconditions():
     with pytest.raises(ValidityError):
         comb(3.0, 4.0)            # sigma_tilde too small
