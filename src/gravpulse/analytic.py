@@ -277,6 +277,14 @@ class CombQuadraticResult:
     z_bar_opt: float
     case_tag: str
     zeta: float
+    # Delta_p_opt - Delta_m_opt summed from the expansion's own terms, so it
+    # survives where both overlaps round to 1.0.
+    excess: float = math.nan
+
+    @property
+    def eta(self) -> float:
+        """Relative change Delta_p_opt/Delta_m_opt - 1."""
+        return self.excess / self.delta_m_opt
 
 
 # Case thresholds: the source regimes are only asymptotic ("phi of order
@@ -330,11 +338,11 @@ def comb_quadratic_optimal(params: NearEarthParams,
     base = 1.0 - d1 * d1 - 0.5 * s2 * d1 * d1
     dm = base
     if phi <= phi_threshold:
-        return CombQuadraticResult(base, dm, z_bar_opt, "i", zeta)
+        return CombQuadraticResult(base, dm, z_bar_opt, "i", zeta, 0.0)
 
     gain = 16.0 * phi**4 / s2 * d1 * d1
     if abs(dz0) <= dz0_factor * d1 * d1:
-        return CombQuadraticResult(base + gain, dm, z_bar_opt, "ii.i", zeta)
+        return CombQuadraticResult(base + gain, dm, z_bar_opt, "ii.i", zeta, gain)
 
     one_plus = 1.0 + big_sigma
     bracket = (8.0
@@ -344,7 +352,8 @@ def comb_quadratic_optimal(params: NearEarthParams,
                + 256.0 * d2t * s2 * phi * phi / one_plus
                - 16.0 * zeta * d2t * s2 * phi**4)
     correction = -8.0 * (d2t * phi * phi / one_plus) * bracket * dz0 * dz0 * d1 * d1
-    return CombQuadraticResult(base + gain + correction, dm, z_bar_opt, "ii.ii", zeta)
+    return CombQuadraticResult(base + gain + correction, dm, z_bar_opt, "ii.ii", zeta,
+                               gain + correction)
 
 
 # -- relative change -----------------------------------------------------------
@@ -353,7 +362,8 @@ def comb_quadratic_optimal(params: NearEarthParams,
 def relative_change(kind: OverlapFamily, params: NearEarthParams) -> float:
     """eta = Delta_p_opt/Delta_m_opt - 1 for the given profile family.
 
-    Computed through expm1 on the exact log-ratio so that the delta1^2
+    Computed through expm1 on the exact log-ratio (for the quadratic comb,
+    from the expansion's excess over Delta_m_opt) so that the delta1^2
     scale survives down to real near-Earth magnitudes (~1e-20) where the
     overlap values themselves round to 1.0 in double precision.
     """
@@ -383,6 +393,5 @@ def relative_change(kind: OverlapFamily, params: NearEarthParams) -> float:
                      + 256.0 * a1 * a1 / a2)
         return math.expm1(log_ratio)
     if kind is OverlapFamily.COMB_QUADRATIC:
-        res = comb_quadratic_optimal(params)
-        return (res.delta_p_opt - res.delta_m_opt) / res.delta_m_opt
+        return comb_quadratic_optimal(params).eta
     raise ValidityError(f"unknown overlap family {kind!r}")

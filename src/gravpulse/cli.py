@@ -8,6 +8,7 @@ dump-config.  Exit codes: 0 success, 1 validation failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -51,7 +52,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="gravpulse",
         description="Gravitational redshift deformation of light-pulse wavepackets")
@@ -240,8 +243,7 @@ def _near_earth_row(sc: Scenario, d1: float) -> tuple[float, float, float, float
                                       d_tilde=prof.d_tilde,
                                       delta_z0=prof.delta_z0, z0=prof.z0)
     res = analytic.comb_quadratic_optimal(params)
-    eta = (res.delta_p_opt - res.delta_m_opt) / res.delta_m_opt
-    return res.z_bar_opt, res.delta_p_opt, res.delta_m_opt, eta, res.delta_p_opt
+    return res.z_bar_opt, res.delta_p_opt, res.delta_m_opt, res.eta, res.delta_p_opt
 
 
 def _quadratic_gain(chi: float, phi: float, z0: float) -> float:

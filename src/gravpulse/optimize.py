@@ -2,18 +2,20 @@
 
 The optimizer locates the global maximizer of z_bar -> Delta(z_bar) with a
 coarse grid scan (global; pitch kept below a quarter tooth spacing for
-combs, whose objective is multimodal) followed by golden-section
-refinement and a parabolic polish on the log-objective.  Every objective
-value comes from the fixed-node kernel `overlap.overlap_batch`: the scan
-is one batched call, each polish stencil and the final gradient check one
-call of three shifts, and the reported overlaps are the kernel's values
-at the optimum from that last call.
+combs, whose objective is multimodal) followed by a safeguarded Newton
+loop on log(objective) inside the scan's bracket around the best grid
+point.  Every objective value comes from the fixed-node kernel
+`overlap.overlap_batch`: the scan is one batched call, each Newton step and
+the final gradient check one call of three shifts, and the reported
+overlaps are the kernel's values at the optimum from that last call.
 
-The polish step matters: near the top the objective varies by less than
-its floating-point rounding over the final golden bracket, so golden
-section alone stops near sqrt(machine epsilon), while the three-point
-vertex of log(objective) on a finite stencil recovers the maximizer to
-~1e-9.
+Each Newton step takes the first and second differences of log(objective)
+on a three-point stencil.  For Gaussian profiles log(objective) is exactly
+quadratic in z_bar, so one step lands on the maximizer; for other profiles
+the bracket keeps the scan's global choice and a step that is not concave
+or would leave it falls back to bisection.  Differencing the log rather
+than the objective keeps the maximizer resolvable to ~1e-9 where the
+objective itself varies by less than its rounding.
 """
 
 from __future__ import annotations
@@ -40,11 +42,14 @@ __all__ = [
     "naive_corrected_overlap",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 SCAN_HALF_WIDTH = 10.0     # envelope widths
 SCAN_POINTS = 201
 FLAT_SPREAD = 1e-13
+# Newton loop: stencil half-widths, the step below which the fine one
+# applies, and the iteration cap.
+NEWTON_H = 1e-3
+NEWTON_H_FINE = 1e-4
+MAX_NEWTON_STEPS = 60
 
 
 class Objective(Enum):
@@ -79,6 +84,13 @@ def maximize_shift(profile: Profile, chi: float, which: Objective,
     |z_bar|.  When the scan cannot resolve any variation, or the
     deformation 1 - Delta is itself below 1e-13, a FlatObjectiveWarning is
     emitted and z_bar = 0 is returned.
+
+    Otherwise Newton steps on log(objective) refine the best grid point
+    within its neighbouring grid points.  `xtol` is a step length in z_bar
+    units: the loop stops once a step is shorter, once a Newton step is no
+    shorter than the Newton step before it (rounding noise), or after
+    MAX_NEWTON_STEPS steps.  `converged` reports whether the objective's
+    slope at the returned z_bar is below 1e-5.
     """
     if not (chi > 0.0 and math.isfinite(chi)):
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
@@ -114,24 +126,38 @@ def maximize_shift(profile: Profile, chi: float, which: Objective,
 
     near_best = np.flatnonzero(vals > vals.max() - FLAT_SPREAD)
     i = int(near_best[np.argmin(np.abs(grid[near_best]))])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_points - 1)]
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, n_points - 1)])
 
-    x, _ = _golden_max(lambda z: float(ev([z])[0]), lo, hi, xtol)
-
-    # Parabolic polish on log(objective): two passes with shrinking stencils.
-    converged = True
-    for h in (1e-3, 1e-4):
-        x_new, ok = _log_parabola_vertex(ev, x, h, lo, hi)
-        if ok:
-            x = x_new
-        else:
-            converged = False
+    x = float(grid[i])
+    h, prev = NEWTON_H, math.inf
+    for _ in range(MAX_NEWTON_STEPS):
+        y = ev([x - h, x, x + h])
+        if not np.all(y > 0.0):
+            break
+        y0, y1, y2 = (math.log(v) for v in y)
+        g = (y2 - y0) / (2.0 * h)
+        c = (y2 - 2.0 * y1 + y0) / (h * h)
+        if g > 0.0:
+            lo = x
+        elif g < 0.0:
+            hi = x
+        x_new = x - g / c if c < 0.0 else math.nan
+        newton = lo < x_new < hi
+        if not newton:
+            x_new = 0.5 * (lo + hi)
+        step = abs(x_new - x)
+        x = x_new
+        if step < xtol or (newton and step >= prev):
+            break
+        prev = step if newton else math.inf
+        if step < NEWTON_H_FINE:
+            h = NEWTON_H_FINE
     # Gradient check: the stationary-point residual at the reported optimum,
     # evaluated together with the optimum itself.
     y = ev([x - 1e-5, x, x + 1e-5])
     g = (y[2] - y[0]) / 2e-5
-    converged = converged and abs(g) < 1e-5
+    converged = abs(g) < 1e-5
     return _finish(profile, chi, x, last[0][1], last[1][1], n_evals, converged, frame)
 
 
@@ -147,48 +173,6 @@ def _finish(profile: Profile, chi: float, z_bar: float, lam: complex, dm: float,
                               delta_m_opt=float(dm),
                               delta_omega_opt=domega, n_evals=n_evals,
                               converged=converged)
-
-
-def _golden_max(f, a: float, b: float, xtol: float, max_iter: int = 120):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    n = 2
-    while (b - a) > xtol and n < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        n += 1
-    return 0.5 * (a + b), n
-
-
-def _log_parabola_vertex(f, x: float, h: float, lo: float, hi: float):
-    """Vertex of the parabola through log f at x-h, x, x+h, with the three
-    values from one call f([x-h, x, x+h]).
-
-    Returns (x, False) unchanged when the stencil leaves the bracket, the
-    objective is non-positive, or the curvature is not concave.
-    """
-    if x - h < lo or x + h > hi:
-        h = min(h, 0.5 * min(x - lo, hi - x))
-        if h <= 0.0:
-            return x, False
-    vals = f([x - h, x, x + h])
-    if not np.all(vals > 0.0):
-        return x, False
-    y0, y1, y2 = (math.log(v) for v in vals)
-    curv = y0 - 2.0 * y1 + y2
-    if curv >= 0.0:
-        return x, False
-    step = 0.5 * h * (y0 - y2) / curv
-    if abs(step) > 2.0 * h:
-        return x, False
-    return x + step, True
 
 
 def naive_corrected_overlap(profile: Profile, chi: float, which: Objective,

@@ -153,7 +153,8 @@ class Profile:
         return ((1.0 + s2) / (2.0 * math.pi)) ** 0.25 / math.sqrt(jacobi_theta3(q))
 
 
-def _auto_n_max(d_tilde: float) -> int:
+def default_n_max(d_tilde: float) -> int:
+    """Tooth truncation index that `comb` chooses when n_max is omitted."""
     # Envelope weight of tooth n is ~exp(-n^2 d^2 / 2); keep everything down
     # to _TRUNCATION_WEIGHT with one tooth of margin.
     n = math.sqrt(2.0 * math.log(1.0 / _TRUNCATION_WEIGHT)) / d_tilde
@@ -192,7 +193,7 @@ def comb(sigma_tilde: float, d_tilde: float, phi_tilde: float = 0.0,
     else:
         raise ValidityError(f"unknown phase_kind {phase_kind!r}")
     if n_max is None:
-        n_max = _auto_n_max(d_tilde)
+        n_max = default_n_max(d_tilde)
     return Profile(kind, phi_tilde=phi_tilde, z0=z0, sigma_tilde=sigma_tilde,
                    d_tilde=d_tilde, delta_z0=delta_z0, n_max=n_max)
 

@@ -15,7 +15,9 @@ ignored.  Recognized keys:
     sweep.param, sweep.start, sweep.stop, sweep.count, sweep.scale
 
 Exactly one of the radii pair or the chi override must be present.  When
-profile.z0 is omitted it defaults to omega0/sigma from the frame.
+profile.z0 is omitted it defaults to omega0/sigma from the frame.  When a
+comb's profile.n_max is omitted it is derived from profile.d_tilde, again
+for every row of a d_tilde sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from importlib import resources
 
 from .errors import ConfigError, ValidityError
 from .multiphoton import PhotonKind, PhotonStatistics
-from .profiles import DimensionfulFrame, Profile, ProfileKind, comb, gaussian_linear, gaussian_quadratic
+from .profiles import (DimensionfulFrame, Profile, ProfileKind, comb, default_n_max,
+                       gaussian_linear, gaussian_quadratic)
 from .spacetime import SpacetimeConfig
 
 __all__ = [
@@ -88,6 +91,8 @@ class Scenario:
     chi_override: float | None = None
     photons: PhotonStatistics | None = None
     sweep: SweepSpec | None = None
+    # The comb's n_max was chosen from d_tilde and follows it in sweeps.
+    auto_n_max: bool = False
 
     def __post_init__(self):
         if (self.spacetime is None) == (self.chi_override is None):
@@ -101,8 +106,10 @@ class Scenario:
         """Scenario with one sweepable parameter replaced."""
         section, key = param.split(".", 1)
         if section == "profile":
-            prof = replace(self.profile, **{key: value})
-            return replace(self, profile=prof)
+            changes = {key: value}
+            if key == "d_tilde" and self.auto_n_max:
+                changes["n_max"] = default_n_max(value)
+            return replace(self, profile=replace(self.profile, **changes))
         if param == "photons.n_mean":
             if self.photons is None:
                 raise ConfigError("photons.n_mean sweep needs a photons section")
@@ -183,6 +190,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError(f"unknown profile.kind {kind_raw!r}") from exc
     phi = _pop_float(pairs, "profile.phi_tilde", 0.0)
     z0 = _pop_float(pairs, "profile.z0", frame.z0)
+    auto_n_max = kind.is_comb and "profile.n_max" not in pairs
     try:
         if kind is ProfileKind.GAUSSIAN_LINEAR:
             profile = gaussian_linear(phi, z0=z0)
@@ -232,7 +240,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError(f"unrecognized keys: {', '.join(sorted(pairs))}")
     try:
         return Scenario(frame=frame, profile=profile, spacetime=spacetime,
-                        chi_override=chi, photons=photons, sweep=sweep)
+                        chi_override=chi, photons=photons, sweep=sweep,
+                        auto_n_max=auto_n_max)
     except ValidityError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -258,8 +267,9 @@ def dump_scenario(sc: Scenario) -> str:
               f"profile.z0 = {_fmt(sc.profile.z0)}"]
     if sc.profile.kind.is_comb:
         lines += [f"profile.sigma_tilde = {_fmt(sc.profile.sigma_tilde)}",
-                  f"profile.d_tilde = {_fmt(sc.profile.d_tilde)}",
-                  f"profile.n_max = {sc.profile.n_max}"]
+                  f"profile.d_tilde = {_fmt(sc.profile.d_tilde)}"]
+        if not sc.auto_n_max:
+            lines.append(f"profile.n_max = {sc.profile.n_max}")
         if sc.profile.kind is ProfileKind.COMB_QUADRATIC:
             lines.append(f"profile.delta_z0 = {_fmt(sc.profile.delta_z0)}")
     if sc.photons is not None:

@@ -247,8 +247,18 @@ def test_relative_change_quadratic_matches_exact_ratio():
 def test_relative_change_survives_tiny_delta():
     eta = relative_change(OverlapFamily.GAUSSIAN_LINEAR,
                           NearEarthParams(delta1=1.74e-10, phi_tilde=1.0))
-    assert eta == pytest.approx(-2.0 * (1.74e-10) ** 2, rel=1e-6)
+    assert eta == pytest.approx(-2.0 * (1.74e-10) ** 2, rel=1e-6, abs=0.0)
     eta_q = relative_change(OverlapFamily.GAUSSIAN_QUADRATIC,
                             NearEarthParams(delta1=1e-10, phi_tilde=1.0, z0=100.0))
     coeff = 16.0 + 8.0 * 100.0**2 / 17.0
-    assert eta_q == pytest.approx(-coeff * 1e-20, rel=1e-5)
+    assert eta_q == pytest.approx(-coeff * 1e-20, rel=1e-5, abs=0.0)
+
+
+def test_relative_change_comb_quadratic_survives_tiny_delta():
+    # Case ii.i: Delta_p - Delta_m = 16*phi^4/sigma^2*delta1^2 while both
+    # overlaps round to 1 in double precision.
+    params = NearEarthParams(delta1=1e-10, phi_tilde=3.0, sigma_tilde=10.0, d_tilde=0.5)
+    eta = relative_change(OverlapFamily.COMB_QUADRATIC, params)
+    assert eta == pytest.approx(16.0 * 3.0**4 / 10.0**2 * 1e-20, rel=1e-6, abs=0.0)
+    res = comb_quadratic_optimal(params)
+    assert res.eta == eta

@@ -165,6 +165,53 @@ sweep.count = 31
             assert eta == 0.0
 
 
+EARTH_COMB_QUADRATIC = """
+spacetime.r_a_m = 6.371e6
+spacetime.r_b_m = 6.771e6
+spacetime.r_s_m = 8.87e-3
+frame.omega0_rad_s = 1.215e15
+frame.sigma_rad_s = 1e9
+profile.kind = comb_quadratic
+profile.phi_tilde = 3
+profile.sigma_tilde = 20
+profile.d_tilde = 0.5
+"""
+
+
+def test_sweep_eta_comb_quadratic_near_earth(tmp_path, capsys):
+    # The weak-field excess 16*phi^4/sigma^2*delta1^2 (~1e-19) survives
+    # although both overlaps round to 1.
+    cfg = tmp_path / "cq.cfg"
+    cfg.write_text(EARTH_COMB_QUADRATIC + "sweep.param = profile.phi_tilde\n"
+                   "sweep.start = 3\nsweep.stop = 4\nsweep.count = 2\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        phi, d1, eta = float(row[0]), float(row[2]), float(row[7])
+        assert eta == pytest.approx(16.0 * phi**4 / 400.0 * d1**2, rel=1e-6, abs=0.0)
+
+
+def test_sweep_over_d_tilde_rederives_n_max(tmp_path, capsys):
+    # n_max chosen for d_tilde = 2 keeps too few teeth at d_tilde = 1.
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(EARTH_COMB_QUADRATIC.replace("comb_quadratic", "comb_linear")
+                   .replace("d_tilde = 0.5", "d_tilde = 2")
+                   + "sweep.param = profile.d_tilde\n"
+                   "sweep.start = 2\nsweep.stop = 1\nsweep.count = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(out.strip().splitlines()) == 4
+
+
+def test_parser_keeps_no_state_between_commands(desk_config, capsys):
+    assert main(["overlap", "--config", desk_config, "--z-bar", "0.5"]) == 0
+    assert "z_bar = 0.5\n" in capsys.readouterr().out
+    assert main(["overlap", "--config", desk_config]) == 0
+    assert "z_bar = 0\n" in capsys.readouterr().out
+
+
 def test_sweep_coherent_photons(tmp_path, capsys):
     cfg = tmp_path / "ph.cfg"
     cfg.write_text(DESK + "photons.kind = coherent\nphotons.n_mean = 1\n"

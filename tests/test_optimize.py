@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gravpulse.analytic import gaussian_quadratic_optimal
-from gravpulse.optimize import (FlatObjectiveWarning, Objective, maximize_shift,
-                                naive_corrected_overlap)
-from gravpulse import overlap
+from gravpulse.optimize import (SCAN_POINTS, FlatObjectiveWarning, Objective,
+                                maximize_shift, naive_corrected_overlap)
+from gravpulse import optimize, overlap
 from gravpulse.overlap import CHUNK_BYTES, overlap_mixed, overlap_pure
 from gravpulse.profiles import DimensionfulFrame, comb, gaussian_linear, gaussian_quadratic
 from gravpulse.spacetime import classical_redshift, kappa
@@ -124,3 +124,45 @@ def test_comb_scan_memory_stays_within_chunk_budget():
         tracemalloc.stop()
     assert abs(res.z_bar_opt) < 1e-6
     assert peak < CHUNK_BYTES + 2**20
+
+
+@pytest.mark.parametrize("prof,chi", [(gaussian_linear(2.0), 1.05),
+                                      (gaussian_quadratic(0.7, z0=20.0), 1.02),
+                                      (gaussian_quadratic(1.2, z0=-40.0), 1.08)])
+@pytest.mark.parametrize("which", [Objective.PURE, Objective.MIXED])
+def test_newton_refinement_eval_budget(prof, chi, which):
+    res = maximize_shift(prof, chi, which)
+    assert res.converged
+    assert res.n_evals <= SCAN_POINTS + 30
+
+
+def test_newton_refinement_matches_quadratic_closed_form():
+    rng = np.random.default_rng(20261017)
+    for _ in range(20):
+        phi = rng.uniform(0.2, 1.5)
+        z0 = rng.uniform(-60.0, 60.0)
+        chi = 1.0 + rng.uniform(2e-3, 5e-2)
+        res = maximize_shift(gaussian_quadratic(phi, z0=z0), chi, Objective.PURE)
+        _, _, zb = gaussian_quadratic_optimal(chi, phi, z0)
+        assert res.converged
+        assert res.z_bar_opt == pytest.approx(zb, rel=1e-9, abs=0.0)
+
+
+def test_newton_falls_back_to_bisection(monkeypatch):
+    # log(objective) = 1 - sqrt(1 + (u/w)^2) with u = z_bar - z_star: concave
+    # everywhere, but nearly linear a few widths out, where a Newton step
+    # -u*(1 + (u/w)^2) overshoots far past the scan bracket.
+    z_star, w = 0.037, 0.01
+
+    def kernel(profile, chi, z_bars, tol):
+        u = (np.asarray(z_bars, dtype=float) - z_star) / w
+        dm = np.exp(1.0 - np.sqrt(1.0 + u * u))
+        return dm.astype(complex), dm
+
+    monkeypatch.setattr(optimize, "overlap_batch", kernel)
+    u0 = 0.0 - z_star                      # the best grid point is z_bar = 0
+    assert abs(u0 * (1.0 + (u0 / w) ** 2)) > 0.1     # first step leaves [-0.1, 0.1]
+    res = maximize_shift(gaussian_linear(0.0), 1.05, Objective.MIXED)
+    assert res.converged
+    assert res.z_bar_opt == pytest.approx(z_star, abs=1e-9)
+    assert res.delta_m_opt == pytest.approx(1.0, abs=1e-12)

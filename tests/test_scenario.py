@@ -4,7 +4,7 @@ import pytest
 
 from gravpulse.errors import ConfigError
 from gravpulse.multiphoton import PhotonKind
-from gravpulse.profiles import ProfileKind
+from gravpulse.profiles import ProfileKind, comb
 from gravpulse.scenario import (Scenario, dump_scenario, load_preset,
                                 parse_scenario, preset_names)
 
@@ -135,3 +135,17 @@ def test_with_param():
     assert sc2.profile.phi_tilde == 0.5
     sc3 = sc.with_param("spacetime.chi", 1.01)
     assert sc3.chi_override == 1.01
+
+
+def test_with_param_d_tilde_follows_automatic_n_max_only():
+    comb_text = BASIC.replace("gaussian_linear", "comb_linear") + (
+        "profile.sigma_tilde = 10\nprofile.d_tilde = 2\n")
+    auto = parse_scenario(comb_text)
+    assert auto.auto_n_max
+    assert auto.with_param("profile.d_tilde", 1.0).profile.n_max == \
+        comb(10.0, 1.0).n_max
+    assert parse_scenario(dump_scenario(auto)) == auto
+    fixed = parse_scenario(comb_text + "profile.n_max = 20\n")
+    assert not fixed.auto_n_max
+    assert fixed.with_param("profile.d_tilde", 1.0).profile.n_max == 20
+    assert parse_scenario(dump_scenario(fixed)) == fixed
