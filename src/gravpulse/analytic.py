@@ -47,17 +47,18 @@ tooth positions; it vanishes exponentially for well-separated teeth
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidityError
-from .profiles import jacobi_theta3
+from .profiles import Profile, ProfileKind, jacobi_theta3
 
 __all__ = [
     "OverlapFamily",
     "NearEarthParams",
     "CombQuadraticResult",
+    "WeakFieldOptimum",
     "gaussian_linear_closed",
     "gaussian_linear_lambda",
     "gaussian_linear_optimal",
@@ -71,14 +72,10 @@ __all__ = [
     "comb_quadratic_optimal",
     "estimate_zeta",
     "relative_change",
+    "weak_field_optimum",
 ]
 
-
-class OverlapFamily(enum.Enum):
-    GAUSSIAN_LINEAR = "gaussian_linear"
-    COMB_LINEAR = "comb_linear"
-    GAUSSIAN_QUADRATIC = "gaussian_quadratic"
-    COMB_QUADRATIC = "comb_quadratic"
+OverlapFamily = ProfileKind     # relative_change takes a profile kind
 
 
 # -- Gaussian envelope, linear phase ------------------------------------------
@@ -328,8 +325,9 @@ def comb_quadratic_optimal(params: NearEarthParams,
     if zeta <= 0.0:
         raise ValidityError(f"zeta must be positive, got {zeta:g}")
 
-    if phi > 0.0:
-        big_sigma = s2 / (16.0 * zeta * d2t * phi * phi)
+    sigma_den = 16.0 * zeta * d2t * phi * phi     # 0 where phi*phi underflows
+    if phi > 0.0 and sigma_den > 0.0:
+        big_sigma = s2 / sigma_den
         z_bar_opt = 8.0 * phi * phi * (dz0 - 4.0 * d1 * d1) * d1 / (1.0 + big_sigma)
     else:
         big_sigma = math.inf
@@ -395,3 +393,38 @@ def relative_change(kind: OverlapFamily, params: NearEarthParams) -> float:
     if kind is OverlapFamily.COMB_QUADRATIC:
         return comb_quadratic_optimal(params).eta
     raise ValidityError(f"unknown overlap family {kind!r}")
+
+
+# -- weak-field optimum per profile --------------------------------------------
+
+
+class WeakFieldOptimum(NamedTuple):
+    z_bar_opt: float
+    delta_p_opt: float
+    delta_m_opt: float
+    eta: float                # Delta_p_opt/Delta_m_opt - 1, kept where both round to 1
+    naive_delta_p: float      # pure overlap at z_bar = 0
+
+
+def weak_field_optimum(profile: Profile, delta1: float) -> WeakFieldOptimum:
+    """Optimal overlaps of `profile` at chi = 1 + delta1 from its family's
+    weak-field expressions; ValidityError where the expansion does not apply."""
+    kind, phi = profile.kind, profile.phi_tilde
+    params = NearEarthParams(delta1=delta1, phi_tilde=phi, z0=profile.z0,
+                             sigma_tilde=profile.sigma_tilde, d_tilde=profile.d_tilde,
+                             delta_z0=profile.delta_z0)
+    if kind is ProfileKind.GAUSSIAN_LINEAR:
+        dp, dm = gaussian_linear_near_earth(delta1, phi)
+        return WeakFieldOptimum(0.0, dp, dm, relative_change(kind, params), dp)
+    if kind is ProfileKind.GAUSSIAN_QUADRATIC:
+        dp, dm = gaussian_quadratic_near_earth(delta1, phi, profile.z0)
+        _, a1, a2 = gaussian_quadratic_coefficients(1.0 + delta1, phi, profile.z0)
+        naive = dp * math.exp(-256.0 * (a1 * a1 / a2))
+        return WeakFieldOptimum(-32.0 * a1 / a2, dp, dm, relative_change(kind, params), naive)
+    if kind is ProfileKind.COMB_LINEAR:
+        dp, dm, zb = comb_linear_near_earth_optimal(delta1, profile.sigma_tilde,
+                                                    profile.d_tilde, phi)
+        return WeakFieldOptimum(zb, dp, dm, relative_change(kind, params), dp)
+    res = comb_quadratic_optimal(params)
+    return WeakFieldOptimum(res.z_bar_opt, res.delta_p_opt, res.delta_m_opt, res.eta,
+                            res.delta_p_opt)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from typing import NamedTuple
 
 from . import analytic, validation
 from .errors import (ConfigError, GridMismatchError, NonConvergenceError,
@@ -22,7 +21,7 @@ from .multiphoton import PhotonKind, coherent_overlap, fock_overlap, squeezed_ov
 from .optimize import (FlatObjectiveWarning, Objective, maximize_shift,
                        naive_corrected_overlap)
 from .overlap import evaluate_overlap
-from .profiles import ProfileKind
+from .profiles import Profile, ProfileKind
 from .scenario import Scenario, dump_scenario, load_preset, parse_scenario, preset_names
 from .spacetime import (RedshiftFactor, classical_redshift, kappa_from_delta,
                         redshift_factor)
@@ -33,8 +32,8 @@ __all__ = ["main"]
 CSV_HEADER = ("param,chi,delta1,z_bar_opt,delta_omega_opt_rad_s,"
               "delta_p_opt,delta_m_opt,eta,naive_delta_p,n_evals")
 
-# Below this |delta1| the overlap deficits (~delta1^2) drown in quadrature
-# noise and sweeps fall back to the weak-field analytic path.
+# Below this |delta1| the deficits 1 - Delta (~delta1^2) fall under the numeric
+# optimizer's 1e-13 resolution, so optimize and sweep use the weak-field forms.
 ANALYTIC_FALLBACK_DELTA1 = 1e-7
 
 # `purity` holds about 96 bytes per grid bin at its peak; requests whose
@@ -67,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the redshift factor directly")
         p.add_argument("--out", help="write CSV output to this path")
         p.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep evaluations")
+                       help="accepted and ignored: sweeps run serially")
         p.add_argument("--tolerance", type=float, default=1e-10,
                        help="quadrature absolute tolerance")
 
@@ -166,94 +165,80 @@ def cmd_overlap(sc: Scenario, z_bar: float, tol: float, out) -> int:
     return EXIT_OK
 
 
-def _analytic_prediction(sc: Scenario, chi: float) -> tuple[float, float, float] | None:
-    prof = sc.profile
+def _analytic_prediction(prof: Profile, chi: float) -> tuple[float, float, float] | None:
     if prof.kind is ProfileKind.GAUSSIAN_LINEAR:
-        dp, dm, zb = analytic.gaussian_linear_optimal(chi, prof.phi_tilde)
-        return dp, dm, zb
+        return analytic.gaussian_linear_optimal(chi, prof.phi_tilde)
     if prof.kind is ProfileKind.GAUSSIAN_QUADRATIC:
         return analytic.gaussian_quadratic_optimal(chi, prof.phi_tilde, prof.z0)
     return None
 
 
-def cmd_optimize(sc: Scenario, tol: float, out) -> int:
-    chi, d1, _ = _chi_and_deltas(sc)
+class Optimum(NamedTuple):
+    """One scenario's optimal shift and overlaps, and the path that gave them."""
+
+    path: str                 # "weak-field" or "numeric"
+    chi: float
+    delta1: float
+    z_bar_opt: float
+    delta_omega_opt: float    # rad/s
+    delta_p_opt: float
+    delta_m_opt: float
+    eta: float
+    naive_delta_p: float
+    n_evals: int
+    warning: str | None = None    # the numeric scan found no resolvable deformation
+
+
+def _optimum(sc: Scenario, tol: float) -> Optimum:
+    """The optimum of `sc`: weak-field expressions below
+    ANALYTIC_FALLBACK_DELTA1, the numeric optimizer otherwise."""
+    chi, d1, d2 = _chi_and_deltas(sc)
+    if abs(d1) < ANALYTIC_FALLBACK_DELTA1:        # NaN (bare chi) compares false
+        wf = analytic.weak_field_optimum(sc.profile, d1)
+        domega = classical_redshift(wf.z_bar_opt, 1.0 + d1 + d2, sc.frame.sigma,
+                                    sc.profile.z0)
+        return Optimum("weak-field", chi, d1, wf.z_bar_opt, domega, wf.delta_p_opt,
+                       wf.delta_m_opt, wf.eta, wf.naive_delta_p, 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", FlatObjectiveWarning)
         res_p = maximize_shift(sc.profile, chi, Objective.PURE, frame=sc.frame,
                                quad_tol=tol * 1e-2)
         res_m = maximize_shift(sc.profile, chi, Objective.MIXED, frame=sc.frame,
                                quad_tol=tol * 1e-2)
-    for w in caught:
-        if issubclass(w.category, FlatObjectiveWarning):
-            print(f"warning: {w.message} (try --chi to exaggerate the redshift)",
-                  file=sys.stderr)
-            break
-    naive_p = naive_corrected_overlap(sc.profile, chi, Objective.PURE)
-    eta = res_p.delta_p_opt / res_m.delta_m_opt - 1.0
-    print(f"chi = {_fmt(chi)}", file=out)
-    print(f"z_bar_opt = {_fmt(res_p.z_bar_opt)}", file=out)
-    print(f"delta_omega_opt = {_fmt(res_p.delta_omega_opt)} rad/s", file=out)
-    print(f"delta_p_opt = {_fmt(res_p.delta_p_opt)}", file=out)
-    print(f"delta_m_opt = {_fmt(res_m.delta_m_opt)}", file=out)
-    print(f"eta = {_fmt(eta)}", file=out)
-    print(f"naive delta_p(z_bar=0) = {_fmt(naive_p)}", file=out)
-    print(f"n_evals = {res_p.n_evals + res_m.n_evals}", file=out)
-    pred = _analytic_prediction(sc, chi)
+    flat = [str(w.message) for w in caught if issubclass(w.category, FlatObjectiveWarning)]
+    return Optimum("numeric", chi, d1, res_p.z_bar_opt, res_p.delta_omega_opt,
+                   res_p.delta_p_opt, res_m.delta_m_opt,
+                   res_p.delta_p_opt / res_m.delta_m_opt - 1.0,
+                   naive_corrected_overlap(sc.profile, chi, Objective.PURE),
+                   res_p.n_evals + res_m.n_evals, flat[0] if flat else None)
+
+
+def cmd_optimize(sc: Scenario, tol: float, out) -> int:
+    opt = _optimum(sc, tol)
+    if opt.warning is not None:
+        print(f"warning: {opt.warning} (try --chi to exaggerate the redshift)",
+              file=sys.stderr)
+    print(f"chi = {_fmt(opt.chi)}", file=out)
+    print(f"z_bar_opt = {_fmt(opt.z_bar_opt)}", file=out)
+    print(f"delta_omega_opt = {_fmt(opt.delta_omega_opt)} rad/s", file=out)
+    print(f"delta_p_opt = {_fmt(opt.delta_p_opt)}", file=out)
+    print(f"delta_m_opt = {_fmt(opt.delta_m_opt)}", file=out)
+    print(f"eta = {_fmt(opt.eta)}", file=out)
+    print(f"naive delta_p(z_bar=0) = {_fmt(opt.naive_delta_p)}", file=out)
+    print(f"path = {opt.path}", file=out)
+    print(f"n_evals = {opt.n_evals}", file=out)
+    # On the numeric path, the gap to the closed form compares two routes.
+    pred = _analytic_prediction(sc.profile, opt.chi) if opt.path == "numeric" else None
     if pred is not None:
-        dp_a, dm_a, zb_a = pred
-        print(f"analytic delta_p_opt = {_fmt(dp_a)} "
-              f"(gap {_fmt(res_p.delta_p_opt - dp_a)})", file=out)
-        print(f"analytic delta_m_opt = {_fmt(dm_a)} "
-              f"(gap {_fmt(res_m.delta_m_opt - dm_a)})", file=out)
-        print(f"analytic z_bar_opt = {_fmt(zb_a)} "
-              f"(gap {_fmt(res_p.z_bar_opt - zb_a)})", file=out)
+        for name, a, got in zip(("delta_p_opt", "delta_m_opt", "z_bar_opt"), pred,
+                                (opt.delta_p_opt, opt.delta_m_opt, opt.z_bar_opt)):
+            print(f"analytic {name} = {_fmt(a)} (gap {_fmt(got - a)})", file=out)
     return EXIT_OK
 
 
-def _near_earth_row(sc: Scenario, d1: float) -> tuple[float, float, float, float, float]:
-    """(z_bar_opt, delta_p_opt, delta_m_opt, eta, naive_delta_p) from the
-    weak-field analytic path."""
-    prof = sc.profile
-    phi = prof.phi_tilde
-    if prof.kind is ProfileKind.GAUSSIAN_LINEAR:
-        dp, dm = analytic.gaussian_linear_near_earth(d1, phi)
-        eta = analytic.relative_change(
-            analytic.OverlapFamily.GAUSSIAN_LINEAR,
-            analytic.NearEarthParams(delta1=d1, phi_tilde=phi))
-        return 0.0, dp, dm, eta, dp
-    if prof.kind is ProfileKind.GAUSSIAN_QUADRATIC:
-        dp, dm = analytic.gaussian_quadratic_near_earth(d1, phi, prof.z0)
-        params = analytic.NearEarthParams(delta1=d1, phi_tilde=phi, z0=prof.z0)
-        eta = analytic.relative_change(analytic.OverlapFamily.GAUSSIAN_QUADRATIC, params)
-        chi = 1.0 + d1
-        _, _, zb = analytic.gaussian_quadratic_optimal(chi, phi, prof.z0)
-        naive = dp * math.exp(-256.0 * _quadratic_gain(chi, phi, prof.z0))
-        return zb, dp, dm, eta, naive
-    if prof.kind is ProfileKind.COMB_LINEAR:
-        dp, dm, zb = analytic.comb_linear_near_earth_optimal(
-            d1, prof.sigma_tilde, prof.d_tilde, phi)
-        params = analytic.NearEarthParams(delta1=d1, phi_tilde=phi,
-                                          sigma_tilde=prof.sigma_tilde,
-                                          d_tilde=prof.d_tilde)
-        eta = analytic.relative_change(analytic.OverlapFamily.COMB_LINEAR, params)
-        return zb, dp, dm, eta, dp
-    params = analytic.NearEarthParams(delta1=d1, phi_tilde=phi,
-                                      sigma_tilde=prof.sigma_tilde,
-                                      d_tilde=prof.d_tilde,
-                                      delta_z0=prof.delta_z0, z0=prof.z0)
-    res = analytic.comb_quadratic_optimal(params)
-    return res.z_bar_opt, res.delta_p_opt, res.delta_m_opt, res.eta, res.delta_p_opt
-
-
-def _quadratic_gain(chi: float, phi: float, z0: float) -> float:
-    _, a1, a2 = analytic.gaussian_quadratic_coefficients(chi, phi, z0)
-    return a1 * a1 / a2
-
-
 def _sweep_row(sc: Scenario, value: float, tol: float) -> str:
-    chi, d1, d2 = _chi_and_deltas(sc)
     if sc.photons is not None and sc.sweep.param == "photons.n_mean":
+        chi, d1, _ = _chi_and_deltas(sc)
         base = evaluate_overlap(sc.profile, chi, 0.0, tol=tol)
         n = sc.photons.n_mean
         if sc.photons.kind is PhotonKind.FOCK:
@@ -265,42 +250,19 @@ def _sweep_row(sc: Scenario, value: float, tol: float) -> str:
         dm = base.delta_m
         eta = dp / dm - 1.0
         row = (value, chi, d1, 0.0, float("nan"), dp, dm, eta, base.delta_p, 0)
-        return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-
-    use_analytic = (not math.isnan(d1)) and abs(d1) < ANALYTIC_FALLBACK_DELTA1
-    if use_analytic:
-        zb, dp, dm, eta, naive = _near_earth_row(sc, d1)
-        domega = classical_redshift(zb, 1.0 + d1 + d2, sc.frame.sigma, sc.profile.z0)
-        row = (value, chi, d1, zb, domega, dp, dm, eta, naive, 0)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FlatObjectiveWarning)
-            res_p = maximize_shift(sc.profile, chi, Objective.PURE, frame=sc.frame,
-                                   quad_tol=tol * 1e-2)
-            res_m = maximize_shift(sc.profile, chi, Objective.MIXED, frame=sc.frame,
-                                   quad_tol=tol * 1e-2)
-        naive = naive_corrected_overlap(sc.profile, chi, Objective.PURE)
-        eta = res_p.delta_p_opt / res_m.delta_m_opt - 1.0
-        row = (value, chi, d1, res_p.z_bar_opt, res_p.delta_omega_opt,
-               res_p.delta_p_opt, res_m.delta_m_opt, eta, naive,
-               res_p.n_evals + res_m.n_evals)
+        o = _optimum(sc, tol)
+        row = (value, o.chi, o.delta1, o.z_bar_opt, o.delta_omega_opt, o.delta_p_opt,
+               o.delta_m_opt, o.eta, o.naive_delta_p, o.n_evals)
     return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
 
 
-def cmd_sweep(sc: Scenario, tol: float, workers: int, out) -> int:
+def cmd_sweep(sc: Scenario, tol: float, out) -> int:
     if sc.sweep is None:
         raise ConfigError("sweep command needs a sweep section in the scenario")
-    values = sc.sweep.values()
-    scenarios = [sc.with_param(sc.sweep.param, v) for v in values]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda pair: _sweep_row(pair[0], pair[1], tol),
-                                 zip(scenarios, values)))
-    else:
-        rows = [_sweep_row(s, v, tol) for s, v in zip(scenarios, values)]
-    print(CSV_HEADER, file=out)
-    for row in rows:
-        print(row, file=out)
+    rows = [_sweep_row(sc.with_param(sc.sweep.param, v), v, tol)
+            for v in sc.sweep.values()]
+    print(CSV_HEADER, *rows, sep="\n", file=out)
     return EXIT_OK
 
 
@@ -352,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "optimize":
             return cmd_optimize(sc, args.tolerance, out)
         if args.command == "sweep":
-            return cmd_sweep(sc, args.tolerance, args.workers, out)
+            return cmd_sweep(sc, args.tolerance, out)
         if args.command == "purity":
             return cmd_purity(sc, args.bins, out)
         if args.command == "dump-config":

@@ -8,7 +8,7 @@ families are supported, each with a linear or quadratic spectral phase:
 * Gaussian:          f(z) = (2*pi)**-0.25 * exp(-z**2/4)
 * Gaussian-enveloped frequency comb: teeth of relative width 1/sigma_tilde
   spaced d_tilde apart under the same Gaussian envelope, normalized through
-  a Jacobi theta_3 factor.
+  Jacobi theta_3 sums that include the overlap of neighbouring teeth.
 
 Phase conventions (z0 / delta_z0 are carried inside the profile):
 
@@ -22,6 +22,7 @@ the linear phase is physically inert; it is kept for evaluate() fidelity.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +49,7 @@ __all__ = [
 _GAUSS_NORM = (2.0 * math.pi) ** -0.25
 
 # Comb construction preconditions: teeth must be well separated and much
-# narrower than the envelope, otherwise the theta_3 normalization (which
-# neglects tooth cross-overlap) is invalid.
+# narrower than the envelope, as the comb's weak-field expressions assume.
 MIN_TOOTH_SEPARATION = 10.0   # d_tilde * sigma_tilde
 MIN_SIGMA_TILDE = 5.0
 
@@ -144,13 +144,18 @@ class Profile:
             return 10.0
         return max(10.0, self.n_max * self.d_tilde + 10.0 / self.sigma_tilde + 10.0)
 
-    @property
+    @functools.cached_property
     def norm_constant(self) -> float:
         if not self.kind.is_comb:
             return _GAUSS_NORM
-        s2 = self.sigma_tilde**2
-        q = math.exp(-0.5 * (s2 / (1.0 + s2)) * self.d_tilde**2)
-        return ((1.0 + s2) / (2.0 * math.pi)) ** 0.25 / math.sqrt(jacobi_theta3(q))
+        s2, d2 = self.sigma_tilde**2, self.d_tilde**2
+        q = math.exp(-0.5 * (s2 / (1.0 + s2)) * d2)
+        a = math.exp(-0.125 * s2 * d2)
+        # Teeth n and m overlap with weight a^((n-m)^2) * q^((n+m)^2/4); n - m and
+        # n + m share parity, so the double sum splits into even and odd theta sums.
+        t = jacobi_theta3
+        norm = t(a**4) * t(q) + (t(a) - t(a**4)) * (t(q**0.25) - t(q))
+        return ((1.0 + s2) / (2.0 * math.pi)) ** 0.25 / math.sqrt(norm)
 
 
 def default_n_max(d_tilde: float) -> int:
@@ -296,8 +301,7 @@ def normalization(profile: Profile, tol: float = 1e-10) -> float:
     """Quadrature of |F|^2 over the truncation domain.
 
     Must come out as 1 within 1e-8 for any valid profile; the deviation
-    measures the residual tooth cross-overlap neglected by the theta_3
-    normalization plus tail truncation.
+    measures tail truncation and quadrature error.
     """
     from scipy.integrate import quad
 

@@ -262,3 +262,10 @@ def test_relative_change_comb_quadratic_survives_tiny_delta():
     assert eta == pytest.approx(16.0 * 3.0**4 / 10.0**2 * 1e-20, rel=1e-6, abs=0.0)
     res = comb_quadratic_optimal(params)
     assert res.eta == eta
+
+
+def test_comb_quadratic_subnormal_phi_is_unshifted():
+    # phi*phi underflows to 0: no shift, rather than a division by zero.
+    res = comb_quadratic_optimal(NearEarthParams(delta1=1e-10, phi_tilde=5e-324,
+                                                 sigma_tilde=20.0, d_tilde=0.5))
+    assert res.z_bar_opt == 0.0 and res.case_tag == "i"

@@ -1,11 +1,20 @@
+import contextlib
+import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gravpulse.analytic import NearEarthParams, relative_change
 from gravpulse.cli import CSV_HEADER, main
+from gravpulse.profiles import ProfileKind
+from gravpulse.scenario import parse_scenario
 
 DESK = """
 spacetime.chi = 1.05
@@ -190,6 +199,140 @@ def test_sweep_eta_comb_quadratic_near_earth(tmp_path, capsys):
     for row in rows:
         phi, d1, eta = float(row[0]), float(row[2]), float(row[7])
         assert eta == pytest.approx(16.0 * phi**4 / 400.0 * d1**2, rel=1e-6, abs=0.0)
+
+
+def _leo(kind, phi, extra="", r_s=8.87e-3):
+    """Ground-to-LEO scenario text; Earth's r_s gives delta1 ~ -1.4e-10."""
+    return ("spacetime.r_a_m = 6.371e6\nspacetime.r_b_m = 6.771e6\n"
+            f"spacetime.r_s_m = {r_s!r}\n"
+            "frame.omega0_rad_s = 1.215e15\nframe.sigma_rad_s = 1e9\n"
+            f"profile.kind = {kind}\nprofile.phi_tilde = {phi!r}\n" + extra)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _optimize_and_sweep_row(config, phi):
+    """(rc, stdout, stderr) of `optimize` on `config` and of a one-row sweep
+    of the same scenario (profile.phi_tilde swept from phi to phi)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        opt = _call(["optimize", "--config", path])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"sweep.param = profile.phi_tilde\nsweep.start = {phi!r}\n"
+                     f"sweep.stop = {phi!r}\nsweep.count = 1\n")
+        return opt, _call(["sweep", "--config", path])
+
+
+def _values(out):
+    return {k: v.split()[0] for k, v in (l.split(" = ", 1) for l in out.splitlines()
+                                         if " = " in l)}
+
+
+# optimize's label -> column of the sweep CSV
+SWEEP_COLUMNS = {"z_bar_opt": 3, "delta_omega_opt": 4, "delta_p_opt": 5, "delta_m_opt": 6,
+                 "eta": 7, "naive delta_p(z_bar=0)": 8, "n_evals": 9}
+
+
+def _matching_values(opt, sweep):
+    """optimize's values, after checking the sweep row prints the same ones."""
+    vals, row = _values(opt), sweep.splitlines()[1].split(",")
+    assert {k: vals[k] for k in SWEEP_COLUMNS} == {k: row[i] for k, i in SWEEP_COLUMNS.items()}
+    return vals
+
+
+@pytest.mark.parametrize("config, phi, path", [
+    (_leo("gaussian_linear", 1.5), 1.5, "weak-field"),
+    (_leo("gaussian_quadratic", 1.5), 1.5, "weak-field"),
+    (_leo("comb_linear", 1.5, "profile.sigma_tilde = 20\nprofile.d_tilde = 2\n"),
+     1.5, "weak-field"),
+    (_leo("comb_quadratic", 3.0, "profile.sigma_tilde = 20\nprofile.d_tilde = 0.5\n"),
+     3.0, "weak-field"),
+    (DESK, 2.0, "numeric"),
+], ids=["gaussian_linear", "gaussian_quadratic", "comb_linear", "comb_quadratic",
+        "chi_override"])
+def test_optimize_matches_one_row_sweep(config, phi, path):
+    (rc, out, err), (rc_s, out_s, _) = _optimize_and_sweep_row(config, phi)
+    assert rc == rc_s == 0
+    vals = _matching_values(out, out_s)
+    assert vals["path"] == path
+    if path == "numeric":
+        assert int(vals["n_evals"]) > 0
+        return
+    assert vals["n_evals"] == "0" and err == ""
+    p = parse_scenario(config).profile
+    params = NearEarthParams(delta1=float(out_s.splitlines()[1].split(",")[2]),
+                             phi_tilde=phi, z0=p.z0, sigma_tilde=p.sigma_tilde,
+                             d_tilde=p.d_tilde, delta_z0=p.delta_z0)
+    eta = relative_change(p.kind, params)
+    assert eta != 0.0
+    assert float(vals["eta"]) == eta
+
+
+@pytest.mark.parametrize("preset", ["earth-leo", "earth-geo", "earth-surface-lab"])
+def test_optimize_earth_presets_print_no_overlap_above_one(preset, capsys):
+    assert main(["optimize", "--preset", preset]) == 0
+    out, err = capsys.readouterr()
+    overlaps = [float(v) for k, v in _values(out).items() if "delta_p" in k or "delta_m" in k]
+    assert len(overlaps) == 3
+    assert max(overlaps) <= 1.0
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_comb_quadratic_outside_zeta_range_is_config_error(command, tmp_path, capsys):
+    # d_tilde^2/2 = 2 lies outside the weak-field expansion's zeta range.
+    cfg = tmp_path / "cq.cfg"
+    cfg.write_text(EARTH_COMB_QUADRATIC.replace("d_tilde = 0.5", "d_tilde = 2")
+                   + "sweep.param = profile.phi_tilde\nsweep.start = 3\n"
+                   "sweep.stop = 3\nsweep.count = 1\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@st.composite
+def _earth_scenarios(draw):
+    kind = draw(st.sampled_from([k.value for k in ProfileKind]))
+    phi = draw(st.floats(0.0, 4.0))
+    extra = ""
+    if kind == "gaussian_quadratic":
+        z0 = draw(st.none() | st.floats(0.0, 3.0))      # None: omega0/sigma ~ 1.2e6
+        extra = "" if z0 is None else f"profile.z0 = {z0!r}\n"
+    elif kind != "gaussian_linear":
+        extra = (f"profile.sigma_tilde = {draw(st.floats(5.0, 25.0))!r}\n"
+                 f"profile.d_tilde = {draw(st.floats(0.4, 3.0))!r}\n")
+        if kind == "comb_quadratic":
+            extra += f"profile.delta_z0 = {draw(st.floats(-3.0, 3.0))!r}\n"
+    # r_s up to 1e5 times Earth's: |delta1| from ~1.4e-10 to ~1.4e-5, on both
+    # sides of the weak-field threshold 1e-7.
+    r_s = 8.87e-3 * 10.0 ** draw(st.floats(0.0, 5.0))
+    return _leo(kind, phi, extra, r_s), phi
+
+
+@settings(max_examples=30, deadline=None)
+@given(_earth_scenarios())
+def test_optimize_and_sweep_row_agree_on_random_scenarios(case):
+    (rc, out, err), (rc_s, out_s, err_s) = _optimize_and_sweep_row(*case)
+    assert rc in (0, 2, 3) and rc_s == rc
+    if rc != 0:
+        for text in (err, err_s):
+            lines = text.strip().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(("config error:", "numerical error:"))
+        return
+    vals = _matching_values(out, out_s)
+    x = {k: float(vals[k]) for k in SWEEP_COLUMNS}
+    assert all(math.isfinite(v) for v in x.values())
+    # the 1e-9 ordering slack the acceptance suite pins
+    assert 0.0 <= x["delta_p_opt"] <= x["delta_m_opt"] + 1e-9
+    assert x["delta_m_opt"] <= 1.0 + 1e-9
 
 
 def test_sweep_over_d_tilde_rederives_n_max(tmp_path, capsys):
