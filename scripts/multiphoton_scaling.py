@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from gravpulse.multiphoton import coherent_overlap, fock_overlap, squeezed_overlap
-from gravpulse.optimize import Objective, maximize_shift
+from gravpulse.optimize import maximize_shift
 from gravpulse.overlap import lambda_pure
 from gravpulse.profiles import gaussian_linear
 
@@ -26,9 +26,9 @@ def main() -> int:
     args = ap.parse_args()
 
     prof = gaussian_linear(args.phi)
-    res = maximize_shift(prof, args.chi, Objective.PURE)
+    res = maximize_shift(prof, args.chi)
     lam = lambda_pure(prof, args.chi, res.z_bar_opt)
-    dm = maximize_shift(prof, args.chi, Objective.MIXED).delta_m_opt
+    dm = res.delta_m_opt
     print(f"# chi={args.chi} phi={args.phi}: single-photon Lambda = {lam:.12g}, "
           f"delta_m = {dm:.12g} (N-independent for coherent/squeezed)")
     print("n,fock,coherent,squeezed")

@@ -16,7 +16,7 @@ import numpy as np
 from gravpulse.analytic import (NearEarthParams, OverlapFamily,
                                 gaussian_linear_optimal,
                                 gaussian_quadratic_optimal, relative_change)
-from gravpulse.optimize import Objective, maximize_shift
+from gravpulse.optimize import maximize_shift
 from gravpulse.profiles import gaussian_linear, gaussian_quadratic
 from gravpulse.spacetime import SpacetimeConfig, delta_expansion
 
@@ -38,10 +38,8 @@ def main() -> int:
     for phi in np.linspace(0.0, 3.0, 13):
         lin = gaussian_linear(phi)
         quad = gaussian_quadratic(phi, z0=args.z0)
-        num_lin = (maximize_shift(lin, args.chi, Objective.PURE).delta_p_opt
-                   / maximize_shift(lin, args.chi, Objective.MIXED).delta_m_opt - 1.0)
-        num_quad = (maximize_shift(quad, args.chi, Objective.PURE).delta_p_opt
-                    / maximize_shift(quad, args.chi, Objective.MIXED).delta_m_opt - 1.0)
+        num_lin = maximize_shift(lin, args.chi).eta
+        num_quad = maximize_shift(quad, args.chi).eta
         dp, dm, _ = gaussian_linear_optimal(args.chi, phi)
         closed_lin = dp / dm - 1.0
         dp, dm, _ = gaussian_quadratic_optimal(args.chi, phi, args.z0)

@@ -20,8 +20,8 @@ from .errors import (ConfigError, GridMismatchError, NonConvergenceError,
                      SupportEscapeError, ValidityError)
 from .multiphoton import (PhotonKind, PhotonStatistics, coherent_overlap,
                           fock_overlap, squeezed_overlap, squeezing_parameter)
-from .optimize import (FlatObjectiveWarning, Objective, OptimizationResult,
-                       maximize_shift, naive_corrected_overlap)
+from .optimize import (FlatObjectiveWarning, OptimizationResult, maximize_shift,
+                       naive_corrected_overlap)
 from .overlap import (OverlapResult, SubPeak, evaluate_overlap, lambda_pure,
                       overlap_batch, overlap_mixed, overlap_multipeak, overlap_pure)
 from .profiles import (DimensionfulFrame, Profile, ProfileKind, comb,

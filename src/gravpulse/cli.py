@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -17,10 +18,10 @@ from typing import NamedTuple
 from . import analytic, validation
 from .errors import (ConfigError, GridMismatchError, NonConvergenceError,
                      SupportEscapeError, ValidityError)
-from .multiphoton import PhotonKind, coherent_overlap, fock_overlap, squeezed_overlap
-from .optimize import (FlatObjectiveWarning, Objective, maximize_shift,
-                       naive_corrected_overlap)
-from .overlap import evaluate_overlap
+from .multiphoton import (PhotonKind, PhotonStatistics, coherent_overlap, fock_overlap,
+                          squeezed_overlap)
+from .optimize import FlatObjectiveWarning, maximize_shift
+from .overlap import OverlapResult, evaluate_overlap
 from .profiles import Profile, ProfileKind
 from .scenario import Scenario, dump_scenario, load_preset, parse_scenario, preset_names
 from .spacetime import (RedshiftFactor, classical_redshift, kappa_from_delta,
@@ -151,18 +152,20 @@ def cmd_overlap(sc: Scenario, z_bar: float, tol: float, out) -> int:
     print(f"delta_m = {_fmt(res.delta_m)}", file=out)
     print(f"lambda_p = {_fmt(res.lambda_p.real)} + {_fmt(res.lambda_p.imag)}j", file=out)
     if sc.photons is not None:
-        n = sc.photons.n_mean
-        if sc.photons.kind is PhotonKind.FOCK:
-            print(f"fock delta_p(N={n:g}) = {_fmt(fock_overlap(res.delta_p, int(n)))}", file=out)
-        elif sc.photons.kind is PhotonKind.COHERENT:
-            dp, _ = coherent_overlap(res.lambda_p, n, res.delta_m)
-            print(f"coherent delta_p(N={n:g}) = {_fmt(dp)}", file=out)
-        else:
-            dp, _ = squeezed_overlap(res.lambda_p, n, res.delta_m)
-            print(f"squeezed delta_p(N={n:g}) = {_fmt(dp)}", file=out)
+        dp = _photon_delta_p(sc.photons, res)
+        print(f"{sc.photons.kind.value} delta_p(N={sc.photons.n_mean:g}) = {_fmt(dp)}",
+              file=out)
         print(f"multi-photon delta_m = {_fmt(res.delta_m)} (photon-number independent)",
               file=out)
     return EXIT_OK
+
+
+def _photon_delta_p(photons: PhotonStatistics, res: OverlapResult) -> float:
+    """Pure-state overlap of the N-photon state built on the one-photon `res`."""
+    if photons.kind is PhotonKind.FOCK:
+        return fock_overlap(res.delta_p, int(photons.n_mean))
+    law = coherent_overlap if photons.kind is PhotonKind.COHERENT else squeezed_overlap
+    return law(res.lambda_p, photons.n_mean, res.delta_m)[0]
 
 
 def _analytic_prediction(prof: Profile, chi: float) -> tuple[float, float, float] | None:
@@ -201,16 +204,11 @@ def _optimum(sc: Scenario, tol: float) -> Optimum:
                        wf.delta_m_opt, wf.eta, wf.naive_delta_p, 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", FlatObjectiveWarning)
-        res_p = maximize_shift(sc.profile, chi, Objective.PURE, frame=sc.frame,
-                               quad_tol=tol * 1e-2)
-        res_m = maximize_shift(sc.profile, chi, Objective.MIXED, frame=sc.frame,
-                               quad_tol=tol * 1e-2)
+        res = maximize_shift(sc.profile, chi, frame=sc.frame, quad_tol=tol * 1e-2)
     flat = [str(w.message) for w in caught if issubclass(w.category, FlatObjectiveWarning)]
-    return Optimum("numeric", chi, d1, res_p.z_bar_opt, res_p.delta_omega_opt,
-                   res_p.delta_p_opt, res_m.delta_m_opt,
-                   res_p.delta_p_opt / res_m.delta_m_opt - 1.0,
-                   naive_corrected_overlap(sc.profile, chi, Objective.PURE),
-                   res_p.n_evals + res_m.n_evals, flat[0] if flat else None)
+    return Optimum("numeric", chi, d1, res.z_bar_opt, res.delta_omega_opt, res.delta_p_opt,
+                   res.delta_m_opt, res.eta, res.naive_delta_p, res.n_evals,
+                   flat[0] if flat else None)
 
 
 def cmd_optimize(sc: Scenario, tol: float, out) -> int:
@@ -240,13 +238,7 @@ def _sweep_row(sc: Scenario, value: float, tol: float) -> str:
     if sc.photons is not None and sc.sweep.param == "photons.n_mean":
         chi, d1, _ = _chi_and_deltas(sc)
         base = evaluate_overlap(sc.profile, chi, 0.0, tol=tol)
-        n = sc.photons.n_mean
-        if sc.photons.kind is PhotonKind.FOCK:
-            dp = fock_overlap(base.delta_p, int(n))
-        elif sc.photons.kind is PhotonKind.COHERENT:
-            dp, _ = coherent_overlap(base.lambda_p, n, base.delta_m)
-        else:
-            dp, _ = squeezed_overlap(base.lambda_p, n, base.delta_m)
+        dp = _photon_delta_p(sc.photons, base)
         dm = base.delta_m
         eta = dp / dm - 1.0
         row = (value, chi, d1, 0.0, float("nan"), dp, dm, eta, base.delta_p, 0)
@@ -301,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     out_file = None
     try:
+        if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
+            raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance!r}")
         if getattr(args, "out", None):
             out_file = open(args.out, "w", encoding="utf-8")
             out = out_file

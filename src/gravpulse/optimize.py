@@ -1,13 +1,16 @@
 """Maximization of the corrected overlaps over the rigid spectral shift.
 
-The optimizer locates the global maximizer of z_bar -> Delta(z_bar) with a
-coarse grid scan (global; pitch kept below a quarter tooth spacing for
-combs, whose objective is multimodal) followed by a safeguarded Newton
-loop on log(objective) inside the scan's bracket around the best grid
-point.  Every objective value comes from the fixed-node kernel
-`overlap.overlap_batch`: the scan is one batched call, each Newton step and
-the final gradient check one call of three shifts, and the reported
-overlaps are the kernel's values at the optimum from that last call.
+One pass gives both optima and the naive overlap.  A coarse grid scan
+(global; pitch kept below a quarter tooth spacing for combs, whose
+objectives are multimodal) is one batched call of the fixed-node kernel
+`overlap.overlap_batch`, which returns Lambda_p and Delta_m together; the
+scan also carries z_bar = 0, whose pure overlap is the naive
+(carrier-tracking only) one, and which stays out of the argmax.  From the
+scan, a safeguarded Newton loop on log(objective) refines the maximizer of
+Delta_p = |Lambda_p| and then that of Delta_m, each inside the scan's
+bracket around its best grid point.  Each Newton step and each final
+gradient check is one kernel call of three shifts, and the reported
+overlaps are the kernel's values at each optimum from its last call.
 
 Each Newton step takes the first and second differences of log(objective)
 on a three-point stencil.  For Gaussian profiles log(objective) is exactly
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .profiles import DimensionfulFrame, Profile
 from .spacetime import classical_redshift
 
 __all__ = [
-    "Objective",
     "OptimizationResult",
     "FlatObjectiveWarning",
     "maximize_shift",
@@ -52,11 +53,6 @@ NEWTON_H_FINE = 1e-4
 MAX_NEWTON_STEPS = 60
 
 
-class Objective(Enum):
-    PURE = "pure"
-    MIXED = "mixed"
-
-
 class FlatObjectiveWarning(UserWarning):
     """The overlap deformation 1 - Delta is below machine resolution over
     the scan window (chi too close to 1); the optimizer returns z_bar = 0."""
@@ -64,75 +60,96 @@ class FlatObjectiveWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    z_bar_opt: float
+    z_bar_opt: float          # maximizer of Delta_p
     delta_p_opt: float
+    z_bar_m_opt: float        # maximizer of Delta_m
     delta_m_opt: float
-    delta_omega_opt: float    # rad/s; NaN when no dimensionful frame is given
+    naive_delta_p: float      # Delta_p at z_bar = 0
+    eta: float                # delta_p_opt / delta_m_opt - 1
+    delta_omega_opt: float    # rad/s at z_bar_opt; NaN when no dimensionful frame is given
     n_evals: int
-    converged: bool
+    converged: bool           # both gradient checks
 
 
-def maximize_shift(profile: Profile, chi: float, which: Objective,
+def maximize_shift(profile: Profile, chi: float,
                    frame: DimensionfulFrame | None = None,
                    window: float = SCAN_HALF_WIDTH,
                    xtol: float = 1e-10,
                    quad_tol: float = 1e-12) -> OptimizationResult:
-    """Globally maximize the chosen overlap over z_bar in [-window, window].
+    """Globally maximize Delta_p and Delta_m over z_bar in [-window, window].
 
     Every objective value comes from `overlap_batch` at tolerance
-    `quad_tol`.  Grid-ties within 1e-13 resolve toward the smallest
-    |z_bar|.  When the scan cannot resolve any variation, or the
-    deformation 1 - Delta is itself below 1e-13, a FlatObjectiveWarning is
-    emitted and z_bar = 0 is returned.
+    `quad_tol`, and one scan serves both objectives.  Grid-ties within
+    1e-13 resolve toward the smallest |z_bar|.  When the scan cannot
+    resolve any variation of an objective, or its deformation 1 - Delta is
+    itself below 1e-13, that objective takes z_bar = 0 from the scan and
+    one FlatObjectiveWarning is emitted.
 
     Otherwise Newton steps on log(objective) refine the best grid point
     within its neighbouring grid points.  `xtol` is a step length in z_bar
     units: the loop stops once a step is shorter, once a Newton step is no
     shorter than the Newton step before it (rounding noise), or after
-    MAX_NEWTON_STEPS steps.  `converged` reports whether the objective's
-    slope at the returned z_bar is below 1e-5.
+    MAX_NEWTON_STEPS steps.  `converged` reports whether both objectives'
+    slopes at their returned z_bar are below 1e-5.
     """
     if not (chi > 0.0 and math.isfinite(chi)):
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
     n_evals = 0
-    last = None
 
-    def ev(xs) -> np.ndarray:
-        # Objective at each shift of xs; `last` keeps both overlaps.
-        nonlocal n_evals, last
+    def ev(xs) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal n_evals
         lam, dm = overlap_batch(profile, chi, xs, tol=quad_tol)
         n_evals += lam.size
-        last = (lam, dm)
-        return np.abs(lam) if which is Objective.PURE else dm
+        return lam, dm
 
     n_points = SCAN_POINTS
     if profile.kind.is_comb:
         # multimodal objective with period ~ d_tilde*chi: pitch < d_tilde/4
         n_points = max(n_points, int(math.ceil(8.0 * window / profile.d_tilde)) + 1)
     grid = np.linspace(-window, window, n_points)
-    vals = ev(grid)
-
-    spread = float(vals.max() - vals.min())
-    if spread < FLAT_SPREAD or 1.0 - float(vals.max()) < FLAT_SPREAD:
-        # Either no variation at all, or the deformation 1 - Delta_opt sits
-        # below double-precision resolution: chi is too close to 1 for the
-        # numeric route and the tie-break (smallest |z_bar|) applies.
+    # The last shift, z_bar = 0, gives the naive overlap and the flat result.
+    lam, dm = ev(np.append(grid, 0.0))
+    at_zero = (0.0, lam[-1], dm[-1], True)
+    pure = _maximize(ev, lambda lam, dm: np.abs(lam), grid, lam, dm, xtol)
+    mixed = _maximize(ev, lambda lam, dm: dm, grid, lam, dm, xtol)
+    if pure is None or mixed is None:
+        # No variation at all, or the deformation 1 - Delta_opt sits below
+        # double-precision resolution: chi is too close to 1 for the numeric
+        # route and the tie-break (smallest |z_bar|) applies.
         warnings.warn(
             "overlap deformation is below machine resolution over the scan "
             "window; returning z_bar = 0 (consider an exaggerated chi "
             "override for numeric studies)", FlatObjectiveWarning)
-        ev([0.0])
-        return _finish(profile, chi, 0.0, last[0][0], last[1][0], n_evals, True, frame)
+    z_p, lam_p, _, converged_p = pure or at_zero
+    z_m, _, dm_m, converged_m = mixed or at_zero
+    delta_p, delta_m = float(abs(lam_p)), float(dm_m)
+    domega = (classical_redshift(z_p, chi, frame.sigma, profile.z0) if frame is not None
+              else float("nan"))
+    return OptimizationResult(z_bar_opt=z_p, delta_p_opt=delta_p, z_bar_m_opt=z_m,
+                              delta_m_opt=delta_m, naive_delta_p=float(abs(lam[-1])),
+                              eta=delta_p / delta_m - 1.0, delta_omega_opt=domega,
+                              n_evals=n_evals, converged=converged_p and converged_m)
 
+
+def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray, dm: np.ndarray,
+              xtol: float) -> tuple[float, complex, float, bool] | None:
+    """(z_bar, Lambda_p, Delta_m, converged) at the maximizer of
+    objective(Lambda_p, Delta_m), refined from the scan values `lam`, `dm`
+    on `grid` (plus one trailing shift left out); None when the scan shows
+    no resolvable deformation."""
+    vals = objective(lam, dm)[:grid.size]
+    spread = float(vals.max() - vals.min())
+    if spread < FLAT_SPREAD or 1.0 - float(vals.max()) < FLAT_SPREAD:
+        return None
     near_best = np.flatnonzero(vals > vals.max() - FLAT_SPREAD)
     i = int(near_best[np.argmin(np.abs(grid[near_best]))])
     lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, n_points - 1)])
+    hi = float(grid[min(i + 1, grid.size - 1)])
 
     x = float(grid[i])
     h, prev = NEWTON_H, math.inf
     for _ in range(MAX_NEWTON_STEPS):
-        y = ev([x - h, x, x + h])
+        y = objective(*ev([x - h, x, x + h]))
         if not np.all(y > 0.0):
             break
         y0, y1, y2 = (math.log(v) for v in y)
@@ -155,29 +172,15 @@ def maximize_shift(profile: Profile, chi: float, which: Objective,
             h = NEWTON_H_FINE
     # Gradient check: the stationary-point residual at the reported optimum,
     # evaluated together with the optimum itself.
-    y = ev([x - 1e-5, x, x + 1e-5])
+    lam, dm = ev([x - 1e-5, x, x + 1e-5])
+    y = objective(lam, dm)
     g = (y[2] - y[0]) / 2e-5
-    converged = abs(g) < 1e-5
-    return _finish(profile, chi, x, last[0][1], last[1][1], n_evals, converged, frame)
+    return x, lam[1], dm[1], bool(abs(g) < 1e-5)
 
 
-def _finish(profile: Profile, chi: float, z_bar: float, lam: complex, dm: float,
-            n_evals: int, converged: bool,
-            frame: DimensionfulFrame | None) -> OptimizationResult:
-    """Result at z_bar from the kernel's overlaps there."""
-    if frame is not None:
-        domega = classical_redshift(z_bar, chi, frame.sigma, profile.z0)
-    else:
-        domega = float("nan")
-    return OptimizationResult(z_bar_opt=z_bar, delta_p_opt=float(abs(lam)),
-                              delta_m_opt=float(dm),
-                              delta_omega_opt=domega, n_evals=n_evals,
-                              converged=converged)
-
-
-def naive_corrected_overlap(profile: Profile, chi: float, which: Objective,
-                            tol: float = 1e-12) -> float:
-    """Overlap at z_bar = 0, i.e. after the rigid carrier-tracking shift
-    delta_omega = -kappa*omega0 with no further optimization."""
+def naive_corrected_overlap(profile: Profile, chi: float,
+                            tol: float = 1e-12) -> tuple[float, float]:
+    """(Delta_p, Delta_m) at z_bar = 0, i.e. after the rigid carrier-tracking
+    shift delta_omega = -kappa*omega0 with no further optimization."""
     lam, dm = overlap_batch(profile, chi, [0.0], tol=tol)
-    return float(abs(lam[0])) if which is Objective.PURE else float(dm[0])
+    return float(abs(lam[0])), float(dm[0])

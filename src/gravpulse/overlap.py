@@ -116,8 +116,8 @@ def _check_inputs(chi: float, tol: float, z_bar):
     bad = np.asarray(z_bar, dtype=float)[~np.isfinite(z_bar)]
     if bad.size:
         raise ValidityError(f"z_bar must be finite, got {float(bad[0])!r}")
-    if tol <= 0.0:
-        raise ValidityError(f"tolerance must be positive, got {tol!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValidityError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def lambda_pure(profile: Profile, chi: float, z_bar: float,

@@ -70,7 +70,7 @@ def check_mixed_benchmark() -> tuple[float, float]:
     worst = 0.0
     for chi in (1.01, 1.05, 1.1):
         prof = profiles.gaussian_linear(1.0)
-        res = optimize.maximize_shift(prof, chi, optimize.Objective.MIXED)
+        res = optimize.maximize_shift(prof, chi)
         target = math.sqrt(2.0) * chi / math.sqrt(1.0 + chi**4)
         worst = max(worst, _rel(res.delta_m_opt, target))
     return worst, 1e-7
@@ -81,7 +81,7 @@ def check_phase_penalty_ratio() -> tuple[float, float]:
     worst = 0.0
     for phi in (0.5, 1.0, 2.0, 3.0):
         prof = profiles.gaussian_linear(phi)
-        res = optimize.maximize_shift(prof, chi, optimize.Objective.PURE)
+        res = optimize.maximize_shift(prof, chi)
         ratio = res.delta_p_opt / res.delta_m_opt
         target = math.exp(-((chi**2 - 1.0) ** 2) * phi**2 / (chi**4 + 1.0))
         worst = max(worst, _rel(ratio, target))
@@ -91,7 +91,7 @@ def check_phase_penalty_ratio() -> tuple[float, float]:
 def check_optimizer_vs_stationary_point() -> tuple[float, float]:
     chi, phi, z0 = 1.001, 0.5, 100.0
     prof = profiles.gaussian_quadratic(phi, z0=z0)
-    res = optimize.maximize_shift(prof, chi, optimize.Objective.PURE)
+    res = optimize.maximize_shift(prof, chi)
     _, _, z_pred = analytic.gaussian_quadratic_optimal(chi, phi, z0)
     return _rel(res.z_bar_opt, z_pred), 1e-6
 

@@ -24,7 +24,7 @@ from gravpulse.analytic import (NearEarthParams, OverlapFamily,
                                 gaussian_quadratic_optimal, relative_change)
 from gravpulse.cli import main
 from gravpulse.multiphoton import coherent_overlap, fock_overlap, squeezed_overlap
-from gravpulse.optimize import Objective, maximize_shift, naive_corrected_overlap
+from gravpulse.optimize import maximize_shift
 from gravpulse.overlap import evaluate_overlap, overlap_mixed, overlap_pure
 from gravpulse.profiles import comb, gaussian_linear, gaussian_quadratic
 from gravpulse.states import (FrequencyGrid, apply_redshift, fidelity,
@@ -39,7 +39,7 @@ def test_criterion_01_gaussian_mixed_benchmark():
     t0 = time.perf_counter()
     worst = 0.0
     for chi in (1.01, 1.05, 1.1):
-        res = maximize_shift(gaussian_linear(1.0), chi, Objective.MIXED)
+        res = maximize_shift(gaussian_linear(1.0), chi)
         target = math.sqrt(2.0) * chi / math.sqrt(1.0 + chi**4)
         worst = max(worst, abs(res.delta_m_opt - target) / target)
     elapsed = time.perf_counter() - t0
@@ -52,9 +52,8 @@ def test_criterion_02_phase_penalty():
     chi = 1.02
     worst = 0.0
     for phi in (0.5, 1.0, 2.0, 3.0):
-        res = maximize_shift(gaussian_linear(phi), chi, Objective.PURE)
-        res_m = maximize_shift(gaussian_linear(phi), chi, Objective.MIXED)
-        ratio = res.delta_p_opt / res_m.delta_m_opt
+        res = maximize_shift(gaussian_linear(phi), chi)
+        ratio = res.delta_p_opt / res.delta_m_opt
         target = math.exp(-((chi**2 - 1.0) ** 2) * phi**2 / (chi**4 + 1.0))
         worst = max(worst, abs(ratio - target) / target)
     assert worst < 1e-7
@@ -64,11 +63,11 @@ def test_criterion_02_phase_penalty():
 def test_criterion_03_quadratic_stationary_point():
     chi, phi, z0 = 1.001, 0.5, 100.0
     prof = gaussian_quadratic(phi, z0=z0)
-    res = maximize_shift(prof, chi, Objective.PURE)
+    res = maximize_shift(prof, chi)
     _, a1, a2 = gaussian_quadratic_coefficients(chi, phi, z0)
     z_pred = -32.0 * a1 / a2
     rel = abs(res.z_bar_opt - z_pred) / abs(z_pred)
-    naive = naive_corrected_overlap(prof, chi, Objective.PURE)
+    naive = res.naive_delta_p
     assert rel < 1e-6
     assert naive < res.delta_p_opt
     report(3, f"z_bar_opt = {res.z_bar_opt:.6g} matches -32*a1/a2 within {rel:.2e}; "

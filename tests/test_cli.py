@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gravpulse.analytic import NearEarthParams, relative_change
 from gravpulse.cli import CSV_HEADER, main
+from gravpulse.optimize import SCAN_POINTS
 from gravpulse.profiles import ProfileKind
 from gravpulse.scenario import parse_scenario
 
@@ -118,6 +119,26 @@ def test_optimize_chi_one_warns(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "machine resolution" in err
+
+
+def test_optimize_makes_one_optimizer_pass(capsys):
+    # one scan serves both objectives; two separate optimizations cost 414 here
+    assert main(["optimize", "--preset", "desk-scale"]) == 0
+    vals = _values(capsys.readouterr().out)
+    assert vals["path"] == "numeric"
+    assert 0 < int(vals["n_evals"]) < 2 * SCAN_POINTS
+
+
+@pytest.mark.parametrize("command", ["optimize", "overlap", "sweep"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_positive_and_finite(command, tol, tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(DESK + "sweep.param = profile.phi_tilde\nsweep.start = 1\n"
+                   "sweep.stop = 1\nsweep.count = 1\n")
+    rc, out, err = _call([command, "--config", str(cfg), "--tolerance", tol])
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [
+        f"config error: --tolerance must be positive and finite, got {float(tol)!r}"]
 
 
 def test_sweep_csv_schema_and_determinism(desk_config, tmp_path):

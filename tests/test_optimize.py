@@ -5,41 +5,45 @@ import numpy as np
 import pytest
 
 from gravpulse.analytic import gaussian_quadratic_optimal
-from gravpulse.optimize import (SCAN_POINTS, FlatObjectiveWarning, Objective,
-                                maximize_shift, naive_corrected_overlap)
+from gravpulse.optimize import (SCAN_POINTS, FlatObjectiveWarning, maximize_shift,
+                                naive_corrected_overlap)
 from gravpulse import optimize, overlap
-from gravpulse.overlap import CHUNK_BYTES, overlap_mixed, overlap_pure
+from gravpulse.overlap import CHUNK_BYTES, overlap_batch, overlap_mixed, overlap_pure
 from gravpulse.profiles import DimensionfulFrame, comb, gaussian_linear, gaussian_quadratic
 from gravpulse.spacetime import classical_redshift, kappa
 
 
 def test_gaussian_linear_optimum_at_zero():
     for phi in (0.0, 1.0, 3.0):
-        res = maximize_shift(gaussian_linear(phi), 1.05, Objective.PURE)
+        res = maximize_shift(gaussian_linear(phi), 1.05)
         assert abs(res.z_bar_opt) < 1e-8
         assert res.converged
 
 
 def test_quadratic_stationary_point_matches_analytic():
     chi, phi, z0 = 1.001, 0.5, 100.0
-    res = maximize_shift(gaussian_quadratic(phi, z0=z0), chi, Objective.PURE)
+    res = maximize_shift(gaussian_quadratic(phi, z0=z0), chi)
     _, _, zb = gaussian_quadratic_optimal(chi, phi, z0)
     assert res.z_bar_opt == pytest.approx(zb, rel=1e-6)
     assert res.converged
 
 
 def test_flat_chi_one():
-    with pytest.warns(FlatObjectiveWarning):
-        res = maximize_shift(gaussian_linear(1.0), 1.0, Objective.PURE)
+    with pytest.warns(FlatObjectiveWarning) as caught:
+        res = maximize_shift(gaussian_linear(1.0), 1.0)
     assert res.z_bar_opt == 0.0
     assert res.delta_p_opt == pytest.approx(1.0, abs=1e-10)
+    # one warning for both objectives, and no evaluation beyond the scan and z_bar = 0
+    assert len(caught) == 1
+    assert res.n_evals == SCAN_POINTS + 1
+    assert res.z_bar_m_opt == 0.0 and res.converged
 
 
 def test_optimality_against_random_probes():
     rng = np.random.default_rng(11)
     prof = gaussian_quadratic(0.7, z0=20.0)
     chi = 1.02
-    res = maximize_shift(prof, chi, Objective.PURE)
+    res = maximize_shift(prof, chi)
     for zb in rng.uniform(-10.0, 10.0, size=100):
         assert res.delta_p_opt >= overlap_pure(prof, chi, float(zb)) - 1e-9
 
@@ -47,21 +51,21 @@ def test_optimality_against_random_probes():
 def test_optimum_beats_naive():
     chi = 1.01
     prof = gaussian_quadratic(0.7, z0=50.0)
-    res = maximize_shift(prof, chi, Objective.PURE)
-    naive = naive_corrected_overlap(prof, chi, Objective.PURE)
+    res = maximize_shift(prof, chi)
+    naive, _ = naive_corrected_overlap(prof, chi)
     assert res.delta_p_opt > naive
     # for the linear phase the naive correction is already optimal
     lin = gaussian_linear(2.0)
-    res_lin = maximize_shift(lin, chi, Objective.PURE)
-    assert res_lin.delta_p_opt == pytest.approx(
-        naive_corrected_overlap(lin, chi, Objective.PURE), abs=1e-8)
+    res_lin = maximize_shift(lin, chi)
+    assert res_lin.delta_p_opt == pytest.approx(naive_corrected_overlap(lin, chi)[0],
+                                                abs=1e-8)
 
 
 def test_mixed_objective_even_about_maximizer():
     chi = 1.05
     prof = gaussian_quadratic(1.2, z0=10.0)
-    res = maximize_shift(prof, chi, Objective.MIXED)
-    assert abs(res.z_bar_opt) < 1e-7
+    res = maximize_shift(prof, chi)
+    assert abs(res.z_bar_m_opt) < 1e-7
     for h in (0.3, 1.1):
         lo = overlap_mixed(prof, chi, -h)
         hi = overlap_mixed(prof, chi, +h)
@@ -71,9 +75,9 @@ def test_mixed_objective_even_about_maximizer():
 def test_comb_objective_multimodal_global_max():
     prof = comb(10.0, 2.0, phi_tilde=1.0)
     chi = 1.01
-    res = maximize_shift(prof, chi, Objective.MIXED)
+    res = maximize_shift(prof, chi)
     # sidelobes sit a tooth spacing away; the global maximum stays at 0
-    assert abs(res.z_bar_opt) < 1e-6
+    assert abs(res.z_bar_m_opt) < 1e-6
     side = overlap_mixed(prof, chi, prof.d_tilde * chi)
     assert side < res.delta_m_opt
 
@@ -82,17 +86,17 @@ def test_delta_omega_fills_from_frame():
     frame = DimensionfulFrame(omega0=1.215e15, sigma=1.0e9)
     prof = gaussian_linear(1.0, z0=frame.z0)
     chi = 1.05
-    res = maximize_shift(prof, chi, Objective.PURE, frame=frame)
+    res = maximize_shift(prof, chi, frame=frame)
     expected = classical_redshift(res.z_bar_opt, chi, frame.sigma, frame.z0)
     assert res.delta_omega_opt == expected
     # z_bar_opt ~ 0 so the classical redshift is the rigid carrier shift
     assert res.delta_omega_opt == pytest.approx(-kappa(chi) * frame.omega0, rel=1e-6)
-    no_frame = maximize_shift(prof, chi, Objective.PURE)
+    no_frame = maximize_shift(prof, 1.03)
     assert math.isnan(no_frame.delta_omega_opt)
 
 
 def test_eval_counter_positive():
-    res = maximize_shift(gaussian_linear(0.5), 1.03, Objective.MIXED)
+    res = maximize_shift(gaussian_linear(0.5), 1.03)
     assert res.n_evals > 200
 
 
@@ -102,14 +106,14 @@ def test_optimizer_makes_no_quadrature_call(monkeypatch):
 
     monkeypatch.setattr(overlap, "quad", no_quad)
     prof = gaussian_quadratic(0.7, z0=20.0)
-    res = maximize_shift(prof, 1.02, Objective.PURE)
-    naive = naive_corrected_overlap(prof, 1.02, Objective.PURE)
+    res = maximize_shift(prof, 1.02)
+    naive, _ = naive_corrected_overlap(prof, 1.02)
     monkeypatch.undo()
     # the reported overlaps are the kernel's, and agree with quadrature
     assert res.delta_p_opt == pytest.approx(
         overlap_pure(prof, 1.02, res.z_bar_opt, tol=1e-12), abs=1e-12)
     assert res.delta_m_opt == pytest.approx(
-        overlap_mixed(prof, 1.02, res.z_bar_opt, tol=1e-12), abs=1e-12)
+        overlap_mixed(prof, 1.02, res.z_bar_m_opt, tol=1e-12), abs=1e-12)
     assert naive == pytest.approx(overlap_pure(prof, 1.02, 0.0, tol=1e-12), abs=1e-12)
 
 
@@ -118,20 +122,20 @@ def test_comb_scan_memory_stays_within_chunk_budget():
     assert prof.n_max == 18                      # 37 teeth
     tracemalloc.start()
     try:
-        res = maximize_shift(prof, 1.01, Objective.MIXED)
+        res = maximize_shift(prof, 1.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(res.z_bar_opt) < 1e-6
+    assert abs(res.z_bar_m_opt) < 1e-6
     assert peak < CHUNK_BYTES + 2**20
 
 
 @pytest.mark.parametrize("prof,chi", [(gaussian_linear(2.0), 1.05),
                                       (gaussian_quadratic(0.7, z0=20.0), 1.02),
                                       (gaussian_quadratic(1.2, z0=-40.0), 1.08)])
-@pytest.mark.parametrize("which", [Objective.PURE, Objective.MIXED])
-def test_newton_refinement_eval_budget(prof, chi, which):
-    res = maximize_shift(prof, chi, which)
+def test_newton_refinement_eval_budget(prof, chi):
+    # the scan, z_bar = 0 and both refinements
+    res = maximize_shift(prof, chi)
     assert res.converged
     assert res.n_evals <= SCAN_POINTS + 30
 
@@ -142,7 +146,7 @@ def test_newton_refinement_matches_quadratic_closed_form():
         phi = rng.uniform(0.2, 1.5)
         z0 = rng.uniform(-60.0, 60.0)
         chi = 1.0 + rng.uniform(2e-3, 5e-2)
-        res = maximize_shift(gaussian_quadratic(phi, z0=z0), chi, Objective.PURE)
+        res = maximize_shift(gaussian_quadratic(phi, z0=z0), chi)
         _, _, zb = gaussian_quadratic_optimal(chi, phi, z0)
         assert res.converged
         assert res.z_bar_opt == pytest.approx(zb, rel=1e-9, abs=0.0)
@@ -162,7 +166,19 @@ def test_newton_falls_back_to_bisection(monkeypatch):
     monkeypatch.setattr(optimize, "overlap_batch", kernel)
     u0 = 0.0 - z_star                      # the best grid point is z_bar = 0
     assert abs(u0 * (1.0 + (u0 / w) ** 2)) > 0.1     # first step leaves [-0.1, 0.1]
-    res = maximize_shift(gaussian_linear(0.0), 1.05, Objective.MIXED)
+    res = maximize_shift(gaussian_linear(0.0), 1.05)
     assert res.converged
-    assert res.z_bar_opt == pytest.approx(z_star, abs=1e-9)
+    assert res.z_bar_m_opt == pytest.approx(z_star, abs=1e-9)
     assert res.delta_m_opt == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("prof,chi", [(gaussian_quadratic(0.7, z0=20.0), 1.02),
+                                      (comb(10.0, 2.0, phi_tilde=1.0, phase_kind="quadratic",
+                                            delta_z0=0.3), 1.01)])
+def test_one_pass_reports_the_kernel_values(prof, chi):
+    res = maximize_shift(prof, chi)
+    lam, dm = overlap_batch(prof, chi, [res.z_bar_opt, res.z_bar_m_opt, 0.0], tol=1e-12)
+    assert res.delta_p_opt == float(abs(lam[0]))
+    assert res.delta_m_opt == float(dm[1])
+    assert res.naive_delta_p == float(abs(lam[2]))
+    assert res.eta == res.delta_p_opt / res.delta_m_opt - 1.0

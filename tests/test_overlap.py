@@ -82,8 +82,9 @@ def test_ordering_and_unit_bound_random():
 def test_invalid_inputs():
     with pytest.raises(ValidityError):
         lambda_pure(gaussian_linear(0.0), -1.0, 0.0)
-    with pytest.raises(ValidityError):
-        overlap_mixed(gaussian_linear(0.0), 1.0, 0.0, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidityError):
+            overlap_mixed(gaussian_linear(0.0), 1.0, 0.0, tol=tol)
 
 
 # -- multi-peak form -----------------------------------------------------------
@@ -218,8 +219,9 @@ def test_batch_kernel_invalid_inputs():
             overlap_batch(prof, 1.05, z_bars)
     with pytest.raises(ValidityError):
         overlap_batch(prof, 0.0, [0.0])
-    with pytest.raises(ValidityError):
-        overlap_batch(prof, 1.05, [0.0], tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidityError):
+            overlap_batch(prof, 1.05, [0.0], tol=tol)
 
 
 @pytest.mark.parametrize("z_bar", [float("nan"), float("inf")])
