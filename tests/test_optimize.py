@@ -133,11 +133,38 @@ def test_comb_scan_memory_stays_within_chunk_budget():
 @pytest.mark.parametrize("prof,chi", [(gaussian_linear(2.0), 1.05),
                                       (gaussian_quadratic(0.7, z0=20.0), 1.02),
                                       (gaussian_quadratic(1.2, z0=-40.0), 1.08)])
-def test_newton_refinement_eval_budget(prof, chi):
-    # the scan, z_bar = 0 and both refinements
+@pytest.mark.parametrize("which", [pytest.param(0, id="Objective.PURE"),
+                                   pytest.param(1, id="Objective.MIXED")])
+def test_newton_refinement_eval_budget(prof, chi, which, monkeypatch):
+    # Each objective's refinement (pure first, then mixed) is one _maximize
+    # call; count the shifts it evaluates.
+    spent = []
+    real = optimize._maximize
+
+    def counted(ev, *args):
+        n = 0
+
+        def ev_counted(xs):
+            nonlocal n
+            n += len(xs)
+            return ev(xs)
+        out = real(ev_counted, *args)
+        spent.append(n)
+        return out
+
+    monkeypatch.setattr(optimize, "_maximize", counted)
     res = maximize_shift(prof, chi)
-    assert res.converged
+    monkeypatch.undo()
+    assert len(spent) == 2
+    assert spent[which] <= 30
+    # the scan, z_bar = 0 and both refinements
     assert res.n_evals <= SCAN_POINTS + 30
+    assert res.converged
+    # this objective's slope at its returned optimum, from the kernel
+    z = (res.z_bar_opt, res.z_bar_m_opt)[which]
+    lam, dm = overlap_batch(prof, chi, [z - 1e-5, z + 1e-5], tol=1e-12)
+    y = (np.abs(lam), dm)[which]
+    assert abs(y[1] - y[0]) / 2e-5 < 1e-5
 
 
 def test_newton_refinement_matches_quadratic_closed_form():
