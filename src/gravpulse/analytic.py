@@ -32,6 +32,30 @@ Weak field (chi = 1 + delta1):
         (1 + 16*phi^4 + 8*phi^4*z0^2/(1 + 16*phi^4)) * delta1^2
     both mixed          1 - Delta_m_opt = delta1^2
 
+Weak field, every family (what `weak_field_optimum` reports).  Let
+K = -i(z*d/dz + 1/2) generate dilations and P = -i*d/dz translations of
+the normalized amplitude G.  To second order in delta1 the received
+overlap at z_bar = delta1*s is <G|exp(i*delta1*(2K + s*P))|G> up to a
+phase, so optimizing the shift projects P out of K (the second-order
+fidelity expansion of Braunstein & Caves, PRL 72, 3439, 1994):
+
+    1 - Delta_p_opt = 2*delta1^2*[Var K - Cov(K,P)^2/Var P]
+    z_bar_opt       = -2*delta1*Cov(K,P)/Var P
+    1 - Delta_m_opt = the same with |G| in place of G
+
+With the phase slope psi'(z) = a + b*z and the moments m2 = int z^2 f^2,
+m4 = int z^4 f^2, w0 = int f'^2, w2 = int z^2 f'^2 of the even envelope
+f = |G|, Var P = w0 + b^2*m2 and Cov(K,P) = a*b*m2, and the deficits
+1 - Delta = c*delta1^2 have
+
+    c_m           = 2*w2 - 1/2
+    c_p - c_m     = 2*[a^2*m2*w0/Var P + b^2*(m4 - m2^2)]
+    c_naive - c_m = 2*[a^2*m2 + b^2*(m4 - m2^2)]            (z_bar = 0)
+
+For the Gaussian these are the coefficients above.  Each overlap is
+reported as exp(-c*delta1^2); c_naive >= c_p >= c_m >= 0 keeps the values
+in (0, 1] and in order.
+
 Comb with linear phase (z_bar_opt = 0): with x0 = (sigma^2/(1+sigma^2))*d^2/2,
 
     Delta_m_opt = (1 - delta1^2) * theta3(e^{-x0*(1+sigma^2*delta1^2)}) / theta3(e^{-x0})
@@ -47,17 +71,22 @@ tooth positions; it vanishes exponentially for well-separated teeth
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ValidityError
-from .profiles import Profile, ProfileKind, jacobi_theta3
+from .overlap import node_spacing
+from .profiles import Profile, ProfileKind, comb, jacobi_theta3, modulus, phase_slope
 
 __all__ = [
     "OverlapFamily",
     "NearEarthParams",
     "CombQuadraticResult",
+    "WeakFieldCoefficients",
     "WeakFieldOptimum",
     "gaussian_linear_closed",
     "gaussian_linear_lambda",
@@ -72,6 +101,7 @@ __all__ = [
     "comb_quadratic_optimal",
     "estimate_zeta",
     "relative_change",
+    "weak_field_coefficients",
     "weak_field_optimum",
 ]
 
@@ -274,14 +304,6 @@ class CombQuadraticResult:
     z_bar_opt: float
     case_tag: str
     zeta: float
-    # Delta_p_opt - Delta_m_opt summed from the expansion's own terms, so it
-    # survives where both overlaps round to 1.0.
-    excess: float = math.nan
-
-    @property
-    def eta(self) -> float:
-        """Relative change Delta_p_opt/Delta_m_opt - 1."""
-        return self.excess / self.delta_m_opt
 
 
 # Case thresholds: the source regimes are only asymptotic ("phi of order
@@ -309,6 +331,12 @@ def comb_quadratic_optimal(params: NearEarthParams,
     z_bar_opt = 8*phi^2*(delta_z0 - 4*delta1^2)*delta1/(1 + Sigma) with
     Sigma = sigma^2/(16*zeta*d^2*phi^2); zeta is estimated at runtime from
     the comb scale unless given.
+
+    This case expansion does not describe the quadratic phase of
+    `profiles.comb`: for comb(13, 0.77, phi_tilde=3) it gives
+    eta/delta1^2 = +7.67 where the numeric optimizer and the moment formula
+    of `weak_field_coefficients` give -1296.  It is kept only as an oracle
+    for `gravpulse validate` (its phase-free Delta_m_opt).
     """
     params.validate()
     d1 = params.delta1
@@ -336,11 +364,11 @@ def comb_quadratic_optimal(params: NearEarthParams,
     base = 1.0 - d1 * d1 - 0.5 * s2 * d1 * d1
     dm = base
     if phi <= phi_threshold:
-        return CombQuadraticResult(base, dm, z_bar_opt, "i", zeta, 0.0)
+        return CombQuadraticResult(base, dm, z_bar_opt, "i", zeta)
 
     gain = 16.0 * phi**4 / s2 * d1 * d1
     if abs(dz0) <= dz0_factor * d1 * d1:
-        return CombQuadraticResult(base + gain, dm, z_bar_opt, "ii.i", zeta, gain)
+        return CombQuadraticResult(base + gain, dm, z_bar_opt, "ii.i", zeta)
 
     one_plus = 1.0 + big_sigma
     bracket = (8.0
@@ -350,8 +378,7 @@ def comb_quadratic_optimal(params: NearEarthParams,
                + 256.0 * d2t * s2 * phi * phi / one_plus
                - 16.0 * zeta * d2t * s2 * phi**4)
     correction = -8.0 * (d2t * phi * phi / one_plus) * bracket * dz0 * dz0 * d1 * d1
-    return CombQuadraticResult(base + gain + correction, dm, z_bar_opt, "ii.ii", zeta,
-                               gain + correction)
+    return CombQuadraticResult(base + gain + correction, dm, z_bar_opt, "ii.ii", zeta)
 
 
 # -- relative change -----------------------------------------------------------
@@ -360,10 +387,14 @@ def comb_quadratic_optimal(params: NearEarthParams,
 def relative_change(kind: OverlapFamily, params: NearEarthParams) -> float:
     """eta = Delta_p_opt/Delta_m_opt - 1 for the given profile family.
 
-    Computed through expm1 on the exact log-ratio (for the quadratic comb,
-    from the expansion's excess over Delta_m_opt) so that the delta1^2
+    Computed through expm1 on the exact log-ratio so that the delta1^2
     scale survives down to real near-Earth magnitudes (~1e-20) where the
-    overlap values themselves round to 1.0 in double precision.
+    overlap values themselves round to 1.0 in double precision.  The
+    quadratic comb takes `weak_field_optimum`'s eta (second order in
+    delta1): the case expansion of `comb_quadratic_optimal` does not
+    describe the quadratic phase of `profiles.comb` (+7.67 against -1296
+    for eta/delta1^2 of comb(13, 0.77, phi_tilde=3)) and is kept only as an
+    oracle.
     """
     d1 = params.delta1
     phi = params.phi_tilde
@@ -391,11 +422,22 @@ def relative_change(kind: OverlapFamily, params: NearEarthParams) -> float:
                      + 256.0 * a1 * a1 / a2)
         return math.expm1(log_ratio)
     if kind is OverlapFamily.COMB_QUADRATIC:
-        return comb_quadratic_optimal(params).eta
+        prof = comb(params.sigma_tilde, params.d_tilde, phi, "quadratic", params.delta_z0)
+        return weak_field_optimum(prof, d1).eta
     raise ValidityError(f"unknown overlap family {kind!r}")
 
 
 # -- weak-field optimum per profile --------------------------------------------
+
+
+class WeakFieldCoefficients(NamedTuple):
+    """Weak-field deficits 1 - Delta = c*delta1^2 and the optimal shift per
+    unit delta1; see the module docstring."""
+
+    c_p: float                # pure overlap at its optimal shift
+    c_m: float                # mixed overlap (optimal shift 0)
+    c_naive: float            # pure overlap at z_bar = 0
+    z_rate: float             # z_bar_opt/delta1
 
 
 class WeakFieldOptimum(NamedTuple):
@@ -406,25 +448,48 @@ class WeakFieldOptimum(NamedTuple):
     naive_delta_p: float      # pure overlap at z_bar = 0
 
 
+@functools.lru_cache(maxsize=256)
+def _envelope_moments(is_comb: bool, sigma_tilde: float, d_tilde: float,
+                      n_max: int) -> tuple[float, float, float, float]:
+    """(m2, m4, w0, w2) of the envelope f = |G| with these parameters.
+
+    Trapezoid sums on the overlap kernel's coarsest nodes over the
+    truncation domain, at whose ends f is negligible, with f' by FFT.
+    """
+    kind = ProfileKind.COMB_LINEAR if is_comb else ProfileKind.GAUSSIAN_LINEAR
+    env = Profile(kind, sigma_tilde=sigma_tilde, d_tilde=d_tilde, n_max=n_max)
+    half = env.z_extent
+    z, h = np.linspace(-half, half, int(math.ceil(2.0 * half / node_spacing(env))) + 1,
+                       retstep=True)
+    f = modulus(env, z)
+    k = 2.0 * math.pi * np.fft.rfftfreq(z.size, h)
+    df = np.fft.irfft(1j * k * np.fft.rfft(f), z.size)
+    z2, f2, df2 = z * z, f * f, df * df
+    return tuple(float(h * s) for s in (z2 @ f2, (z2 * z2) @ f2, df2.sum(), z2 @ df2))
+
+
+def weak_field_coefficients(profile: Profile) -> WeakFieldCoefficients:
+    """(c_p, c_m, c_naive, z_rate) of `profile` from its envelope moments and
+    phase slope, by the moment formula of the module docstring."""
+    m2, m4, w0, w2 = _envelope_moments(profile.kind.is_comb, profile.sigma_tilde,
+                                       profile.d_tilde, profile.n_max)
+    a, b = phase_slope(profile)
+    var_p = w0 + b * b * m2
+    c_m = 2.0 * w2 - 0.5
+    spread = b * b * (m4 - m2 * m2)
+    # w0/var_p <= 1 also after rounding, so c_p <= c_naive
+    return WeakFieldCoefficients(c_m + 2.0 * (a * a * m2 * (w0 / var_p) + spread), c_m,
+                                 c_m + 2.0 * (a * a * m2 + spread), -2.0 * a * b * m2 / var_p)
+
+
 def weak_field_optimum(profile: Profile, delta1: float) -> WeakFieldOptimum:
-    """Optimal overlaps of `profile` at chi = 1 + delta1 from its family's
-    weak-field expressions; ValidityError where the expansion does not apply."""
-    kind, phi = profile.kind, profile.phi_tilde
-    params = NearEarthParams(delta1=delta1, phi_tilde=phi, z0=profile.z0,
-                             sigma_tilde=profile.sigma_tilde, d_tilde=profile.d_tilde,
-                             delta_z0=profile.delta_z0)
-    if kind is ProfileKind.GAUSSIAN_LINEAR:
-        dp, dm = gaussian_linear_near_earth(delta1, phi)
-        return WeakFieldOptimum(0.0, dp, dm, relative_change(kind, params), dp)
-    if kind is ProfileKind.GAUSSIAN_QUADRATIC:
-        dp, dm = gaussian_quadratic_near_earth(delta1, phi, profile.z0)
-        _, a1, a2 = gaussian_quadratic_coefficients(1.0 + delta1, phi, profile.z0)
-        naive = dp * math.exp(-256.0 * (a1 * a1 / a2))
-        return WeakFieldOptimum(-32.0 * a1 / a2, dp, dm, relative_change(kind, params), naive)
-    if kind is ProfileKind.COMB_LINEAR:
-        dp, dm, zb = comb_linear_near_earth_optimal(delta1, profile.sigma_tilde,
-                                                    profile.d_tilde, phi)
-        return WeakFieldOptimum(zb, dp, dm, relative_change(kind, params), dp)
-    res = comb_quadratic_optimal(params)
-    return WeakFieldOptimum(res.z_bar_opt, res.delta_p_opt, res.delta_m_opt, res.eta,
-                            res.delta_p_opt)
+    """Optimal overlaps of `profile` at chi = 1 + delta1 to second order in
+    delta1: each overlap is exp(-c*delta1^2) with c from
+    `weak_field_coefficients`, and eta = expm1(-(c_p - c_m)*delta1^2) keeps
+    the delta1^2 scale where both overlaps round to 1."""
+    c = weak_field_coefficients(profile)
+    d2 = delta1 * delta1
+    # + 0.0 turns the -0.0 of an unshifted profile at delta1 < 0 into 0.0
+    return WeakFieldOptimum(c.z_rate * delta1 + 0.0, math.exp(-c.c_p * d2),
+                            math.exp(-c.c_m * d2), math.expm1(-(c.c_p - c.c_m) * d2),
+                            math.exp(-c.c_naive * d2))

@@ -40,6 +40,7 @@ __all__ = [
     "overlap_mixed",
     "evaluate_overlap",
     "overlap_batch",
+    "node_spacing",
     "overlap_multipeak",
     "DEFAULT_TOL",
     "CHUNK_BYTES",
@@ -192,8 +193,7 @@ def overlap_batch(profile: Profile, chi: float, z_bars,
     z_bars = np.atleast_1d(np.asarray(z_bars, dtype=float))
     _check_inputs(chi, tol, z_bars)
     half = profile.z_extent * max(chi, 1.0 / chi)
-    h0 = 0.25 / profile.sigma_tilde if profile.kind.is_comb else 0.25
-    n = int(math.ceil(2.0 * half / h0))
+    n = int(math.ceil(2.0 * half / node_spacing(profile)))
     h = 2.0 * half / n
     # First level at which each shift's spacing resolves its phase rate.
     ratio = h * _phase_rate(profile, chi, z_bars, half) / math.pi
@@ -227,6 +227,12 @@ def overlap_batch(profile: Profile, chi: float, z_bars,
         dm[active] = new_dm
         active = active[(err > tol) | (level < start[active])]
     return lam, dm
+
+
+def node_spacing(profile: Profile) -> float:
+    """Coarsest trapezoid node spacing of `overlap_batch`: a quarter of the
+    tooth width for combs, a quarter of the envelope width otherwise."""
+    return 0.25 / profile.sigma_tilde if profile.kind.is_comb else 0.25
 
 
 def _phase_rate(profile: Profile, chi: float, z_bars: np.ndarray,

@@ -41,6 +41,7 @@ __all__ = [
     "evaluate",
     "modulus",
     "phase",
+    "phase_slope",
     "phase_difference",
     "normalization",
     "comb_tooth_positions",
@@ -269,6 +270,15 @@ def phase(profile: Profile, z):
         return -profile.phi_tilde * (z + profile.z0)
     center = profile.delta_z0 if profile.kind is ProfileKind.COMB_QUADRATIC else profile.z0
     return -profile.phi_tilde**2 * (z + center) ** 2
+
+
+def phase_slope(profile: Profile) -> tuple[float, float]:
+    """(a, b) with psi'(z) = a + b*z."""
+    if not profile.kind.has_quadratic_phase:
+        return -profile.phi_tilde, 0.0
+    b = -2.0 * profile.phi_tilde**2
+    center = profile.delta_z0 if profile.kind is ProfileKind.COMB_QUADRATIC else profile.z0
+    return b * center, b
 
 
 def evaluate(profile: Profile, z):

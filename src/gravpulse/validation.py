@@ -18,7 +18,8 @@ import numpy as np
 
 from . import analytic, multiphoton, optimize, overlap, profiles, spacetime, states
 
-__all__ = ["CheckResult", "run_battery", "format_report", "FAST", "FULL"]
+__all__ = ["CheckResult", "run_battery", "format_report", "numeric_weak_field_coefficients",
+           "FAST", "FULL"]
 
 FAST = "fast"
 FULL = "full"
@@ -220,6 +221,52 @@ def check_relative_change_headline() -> tuple[float, float]:
     return worst, 1e-2
 
 
+# Richardson pair: the O(delta1^2) remainder stays below ~1e-6 relative
+# while the deficits c*delta1^2 stay far above double-precision rounding.
+_RICHARDSON_DELTA1 = (2e-5, 1e-5)
+# The fit's shifts are z_bar = delta1*_RICHARDSON_SHIFTS*(-1, 0, 1); a wide
+# stencil keeps the parabola's vertex inside it for shift rates up to ~10.
+_RICHARDSON_SHIFTS = 10.0
+
+
+def numeric_weak_field_coefficients(profile: profiles.Profile) -> analytic.WeakFieldCoefficients:
+    """(c_p, c_m, c_naive, z_rate) of `profile` from the numeric overlaps.
+
+    At each delta1 one `overlap_batch` call gives Lambda_p and Delta_m at
+    three shifts; the vertex of the parabola through log|Lambda_p| gives the
+    optimal pure deficit and shift, the middle shift (z_bar = 0) the mixed
+    and the naive ones.  A Richardson step over the two delta1 values
+    removes the O(delta1) term of each coefficient.
+    """
+    fits = []
+    for d1 in _RICHARDSON_DELTA1:
+        span = _RICHARDSON_SHIFTS * d1
+        lam, dm = overlap.overlap_batch(profile, 1.0 + d1, [-span, 0.0, span], tol=1e-14)
+        y0, y1, y2 = np.log(np.abs(lam))
+        slope, curv = 0.5 * (y2 - y0), y2 - 2.0 * y1 + y0
+        deficits = np.array([0.5 * slope * slope / curv - y1, -math.log(dm[1]), -y1])
+        fits.append(np.append(deficits / (d1 * d1), -_RICHARDSON_SHIFTS * slope / curv))
+    big, small = fits
+    ratio = _RICHARDSON_DELTA1[0] / _RICHARDSON_DELTA1[1]
+    return analytic.WeakFieldCoefficients(*((ratio * small - big) / (ratio - 1.0)).tolist())
+
+
+def check_weak_field_coefficients_vs_numeric() -> tuple[float, float]:
+    """The weak-field coefficients and shift rate against the numeric
+    Richardson fit, one profile per family; the shift rate's error is taken
+    relative to max(|z_rate|, 1)."""
+    worst = 0.0
+    for prof in (profiles.gaussian_linear(1.5), profiles.gaussian_quadratic(1.5, z0=5.0),
+                 profiles.comb(10.0, 2.0, phi_tilde=1.0),
+                 profiles.comb(13.0, 0.77, phi_tilde=3.0, phase_kind="quadratic",
+                               delta_z0=0.5)):
+        got = analytic.weak_field_coefficients(prof)
+        ref = numeric_weak_field_coefficients(prof)
+        worst = max(worst, *(_rel(g, r) for g, r in zip(got[:3], ref[:3])),
+                    abs(got.z_rate - ref.z_rate) / max(abs(ref.z_rate), 1.0))
+    return worst, 1e-4
+
+
 def check_earth_scale_redshift() -> tuple[float, float]:
     cfg = spacetime.SpacetimeConfig(r_a=6.371e6, r_b=6.771e6)
     d1, d2 = spacetime.delta_expansion(cfg)
@@ -244,6 +291,8 @@ _FAST_CHECKS = [
     ("comb quadratic weak-field consistency", check_comb_quadratic_weak_field_consistency),
     ("relative-change headline values", check_relative_change_headline),
     ("earth-scale redshift sanity", check_earth_scale_redshift),
+    ("weak-field moment coefficients vs numeric Richardson fit",
+     check_weak_field_coefficients_vs_numeric),
 ]
 
 _FULL_CHECKS = _FAST_CHECKS + [

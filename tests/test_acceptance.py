@@ -297,6 +297,11 @@ def test_criterion_12_mutation_sensitivity(monkeypatch):
             res.z_bar_opt, res.case_tag, res.zeta)
     mutations.append(("comb_quadratic_optimal", mutated_cq))
 
+    orig_wf = analytic.weak_field_coefficients
+    def mutated_wf(profile):
+        return analytic.WeakFieldCoefficients(*(c * (1.0 + 1e-3) for c in orig_wf(profile)))
+    mutations.append(("weak_field_coefficients", mutated_wf))
+
     caught = []
     for name, mutant in mutations:
         with monkeypatch.context() as m:

@@ -10,11 +10,14 @@ from gravpulse.analytic import (NearEarthParams, OverlapFamily,
                                 gaussian_linear_optimal,
                                 gaussian_quadratic_closed,
                                 gaussian_quadratic_coefficients,
+                                gaussian_quadratic_deficit_coefficient,
                                 gaussian_quadratic_near_earth,
-                                gaussian_quadratic_optimal, relative_change)
+                                gaussian_quadratic_optimal, relative_change,
+                                weak_field_coefficients, weak_field_optimum)
 from gravpulse.errors import ValidityError
 from gravpulse.overlap import evaluate_overlap, lambda_pure
 from gravpulse.profiles import comb, gaussian_linear, gaussian_quadratic
+from gravpulse.validation import numeric_weak_field_coefficients
 
 
 def test_trivial_points():
@@ -255,13 +258,13 @@ def test_relative_change_survives_tiny_delta():
 
 
 def test_relative_change_comb_quadratic_survives_tiny_delta():
-    # Case ii.i: Delta_p - Delta_m = 16*phi^4/sigma^2*delta1^2 while both
+    # eta/delta1^2 = -(c_p - c_m) from the numeric Richardson fit, while both
     # overlaps round to 1 in double precision.
-    params = NearEarthParams(delta1=1e-10, phi_tilde=3.0, sigma_tilde=10.0, d_tilde=0.5)
+    params = NearEarthParams(delta1=1e-10, phi_tilde=3.0, sigma_tilde=20.0, d_tilde=0.5)
     eta = relative_change(OverlapFamily.COMB_QUADRATIC, params)
-    assert eta == pytest.approx(16.0 * 3.0**4 / 10.0**2 * 1e-20, rel=1e-6, abs=0.0)
-    res = comb_quadratic_optimal(params)
-    assert res.eta == eta
+    ref = numeric_weak_field_coefficients(comb(20.0, 0.5, 3.0, "quadratic"))
+    assert eta < 0.0
+    assert eta / 1e-20 == pytest.approx(-(ref.c_p - ref.c_m), rel=1e-4)
 
 
 def test_comb_quadratic_subnormal_phi_is_unshifted():
@@ -269,3 +272,15 @@ def test_comb_quadratic_subnormal_phi_is_unshifted():
     res = comb_quadratic_optimal(NearEarthParams(delta1=1e-10, phi_tilde=5e-324,
                                                  sigma_tilde=20.0, d_tilde=0.5))
     assert res.z_bar_opt == 0.0 and res.case_tag == "i"
+
+
+def test_weak_field_coefficients_reproduce_gaussian_closed_forms():
+    c = weak_field_coefficients(gaussian_linear(1.5))
+    assert (c.c_p, c.c_m, c.c_naive) == pytest.approx((5.5, 1.0, 5.5), rel=1e-12)
+    for phi, z0 in ((0.5, 100.0), (1.5, 20.0)):
+        c = weak_field_coefficients(gaussian_quadratic(phi, z0=z0))
+        assert c.c_p == pytest.approx(gaussian_quadratic_deficit_coefficient(phi, z0), rel=1e-12)
+        _, a1, a2 = gaussian_quadratic_coefficients(1.0 + 1e-8, phi, z0)
+        assert c.z_rate == pytest.approx(-32.0 * a1 / a2 / 1e-8, rel=1e-7)
+    # an unshifted profile reports +0.0, not -0.0, at negative delta1
+    assert math.copysign(1.0, weak_field_optimum(gaussian_linear(1.5), -1e-10).z_bar_opt) == 1.0

@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravpulse.analytic import NearEarthParams, relative_change
@@ -16,6 +16,8 @@ from gravpulse.cli import CSV_HEADER, main
 from gravpulse.optimize import SCAN_POINTS
 from gravpulse.profiles import ProfileKind
 from gravpulse.scenario import parse_scenario
+from gravpulse.spacetime import delta_expansion
+from gravpulse.validation import numeric_weak_field_coefficients
 
 DESK = """
 spacetime.chi = 1.05
@@ -208,18 +210,27 @@ profile.d_tilde = 0.5
 """
 
 
+def _assert_matches_numeric(profile, d1, eta, z_bar):
+    """eta < 0, and eta and z_bar against the numeric Richardson fit of the
+    weak-field coefficients of `profile` (not the weak-field route itself)."""
+    ref = numeric_weak_field_coefficients(profile)
+    assert eta < 0.0
+    assert eta / d1**2 == pytest.approx(-(ref.c_p - ref.c_m), rel=1e-4)
+    assert z_bar / d1 == pytest.approx(ref.z_rate, rel=1e-4, abs=1e-4)
+
+
 def test_sweep_eta_comb_quadratic_near_earth(tmp_path, capsys):
-    # The weak-field excess 16*phi^4/sigma^2*delta1^2 (~1e-19) survives
-    # although both overlaps round to 1.
+    # eta ~ -1e-17 survives although both overlaps round to 1.
     cfg = tmp_path / "cq.cfg"
     cfg.write_text(EARTH_COMB_QUADRATIC + "sweep.param = profile.phi_tilde\n"
                    "sweep.start = 3\nsweep.stop = 4\nsweep.count = 2\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
     rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()[1:]]
     assert len(rows) == 2
+    sc = parse_scenario(EARTH_COMB_QUADRATIC)
     for row in rows:
-        phi, d1, eta = float(row[0]), float(row[2]), float(row[7])
-        assert eta == pytest.approx(16.0 * phi**4 / 400.0 * d1**2, rel=1e-6, abs=0.0)
+        phi, d1, z_bar, eta = float(row[0]), float(row[2]), float(row[3]), float(row[7])
+        _assert_matches_numeric(sc.with_param("profile.phi_tilde", phi).profile, d1, eta, z_bar)
 
 
 def _leo(kind, phi, extra="", r_s=8.87e-3):
@@ -288,12 +299,15 @@ def test_optimize_matches_one_row_sweep(config, phi, path):
         return
     assert vals["n_evals"] == "0" and err == ""
     p = parse_scenario(config).profile
-    params = NearEarthParams(delta1=float(out_s.splitlines()[1].split(",")[2]),
-                             phi_tilde=phi, z0=p.z0, sigma_tilde=p.sigma_tilde,
-                             d_tilde=p.d_tilde, delta_z0=p.delta_z0)
+    d1 = float(out_s.splitlines()[1].split(",")[2])
+    if p.kind.is_comb:
+        _assert_matches_numeric(p, d1, float(vals["eta"]), float(vals["z_bar_opt"]))
+        return
+    # The exact-at-chi Gaussian ratio differs from the second-order one by O(delta1).
+    params = NearEarthParams(delta1=d1, phi_tilde=phi, z0=p.z0)
     eta = relative_change(p.kind, params)
     assert eta != 0.0
-    assert float(vals["eta"]) == eta
+    assert float(vals["eta"]) == pytest.approx(eta, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("preset", ["earth-leo", "earth-geo", "earth-surface-lab"])
@@ -307,15 +321,27 @@ def test_optimize_earth_presets_print_no_overlap_above_one(preset, capsys):
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
-def test_comb_quadratic_outside_zeta_range_is_config_error(command, tmp_path, capsys):
-    # d_tilde^2/2 = 2 lies outside the weak-field expansion's zeta range.
+def test_comb_quadratic_beyond_zeta_range_takes_weak_field(command, tmp_path, capsys):
+    # d_tilde^2/2 = 2 lies outside estimate_zeta's range, which the
+    # weak-field route does not use.
+    text = EARTH_COMB_QUADRATIC.replace("d_tilde = 0.5", "d_tilde = 2")
     cfg = tmp_path / "cq.cfg"
-    cfg.write_text(EARTH_COMB_QUADRATIC.replace("d_tilde = 0.5", "d_tilde = 2")
-                   + "sweep.param = profile.phi_tilde\nsweep.start = 3\n"
+    cfg.write_text(text + "sweep.param = profile.phi_tilde\nsweep.start = 3\n"
                    "sweep.stop = 3\nsweep.count = 1\n")
-    assert main([command, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:")
+    assert main([command, "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "optimize":
+        vals = _values(out)
+        assert vals["path"] == "weak-field"
+        z_bar, dp, dm, eta = (float(vals[k]) for k in
+                              ("z_bar_opt", "delta_p_opt", "delta_m_opt", "eta"))
+    else:
+        row = [float(x) for x in out.splitlines()[1].split(",")]
+        z_bar, dp, dm, eta = row[3], row[5], row[6], row[7]
+    sc = parse_scenario(text)
+    assert 0.0 < dp <= dm <= 1.0
+    _assert_matches_numeric(sc.profile, delta_expansion(sc.spacetime)[0], eta, z_bar)
 
 
 @st.composite
@@ -339,6 +365,8 @@ def _earth_scenarios(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_earth_scenarios())
+@example((_leo("comb_quadratic", 3.0, "profile.sigma_tilde = 20\nprofile.d_tilde = 0.5\n"),
+          3.0))
 def test_optimize_and_sweep_row_agree_on_random_scenarios(case):
     (rc, out, err), (rc_s, out_s, err_s) = _optimize_and_sweep_row(*case)
     assert rc in (0, 2, 3) and rc_s == rc
@@ -354,6 +382,9 @@ def test_optimize_and_sweep_row_agree_on_random_scenarios(case):
     # the 1e-9 ordering slack the acceptance suite pins
     assert 0.0 <= x["delta_p_opt"] <= x["delta_m_opt"] + 1e-9
     assert x["delta_m_opt"] <= 1.0 + 1e-9
+    assert x["naive delta_p(z_bar=0)"] <= x["delta_p_opt"] + 1e-9
+    if vals["path"] == "weak-field":
+        assert x["eta"] <= 0.0
 
 
 def test_sweep_over_d_tilde_rederives_n_max(tmp_path, capsys):
