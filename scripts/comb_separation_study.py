@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from gravpulse.analytic import NearEarthParams, OverlapFamily, relative_change
-from gravpulse.overlap import overlap_mixed, overlap_pure
+from gravpulse.overlap import evaluate_overlap
 from gravpulse.profiles import comb
 
 
@@ -39,8 +39,8 @@ def main() -> int:
     print("d_tilde,eta_formula,eta_quadrature,suppression_vs_gaussian")
     for d in np.arange(max(10.0 / sig, 1.0), 6.5, 0.5):
         prof = comb(sig, float(d), phi_tilde=phi)
-        eta_q = (overlap_pure(prof, chi, 0.0, tol=1e-11)
-                 / overlap_mixed(prof, chi, 0.0, tol=1e-11) - 1.0)
+        res = evaluate_overlap(prof, chi, 0.0, tol=1e-11)
+        eta_q = res.delta_p / res.delta_m - 1.0
         eta_f = relative_change(
             OverlapFamily.COMB_LINEAR,
             NearEarthParams(delta1=d1, phi_tilde=phi, sigma_tilde=sig, d_tilde=float(d)))

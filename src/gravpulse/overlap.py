@@ -17,7 +17,8 @@ fixed nodes that evaluates many shifts in one vectorized pass; the
 optimizer runs on it.  `lambda_pure`, `overlap_mixed` and
 `evaluate_overlap` use adaptive quadrature (scipy.integrate.quad, imported
 on first use) and serve point evaluations and the independent oracle of
-`gravpulse validate` and the tests.
+`gravpulse validate` and the tests; the integrals of one point share one
+integrand evaluation per node.
 """
 
 from __future__ import annotations
@@ -121,24 +122,65 @@ def _check_inputs(chi: float, tol: float, z_bar):
         raise ValidityError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def lambda_pure(profile: Profile, chi: float, z_bar: float,
-                tol: float = DEFAULT_TOL) -> complex:
-    """Complex pure-state overlap integral; |result| is Delta_p."""
+# Distinct nodes one `_shared_node_quad` call stores; past the cap a node is
+# computed without being stored.  quad's limit of 2**16 subintervals of 21
+# nodes would otherwise allow ~1.4 M entries (about 250 MB).
+_NODE_MEMO_CAP = 2**15
+
+# Integrands of the point quadratures at one node, from complex(weight, dpsi):
+# the weight f(chi*z + z_bar)*f(z/chi) and the phase difference packed in one
+# 32-byte object (a tuple of two floats takes 104 bytes).
+_INTEGRANDS = {
+    "re": lambda node: node.real * math.cos(node.imag),
+    "im": lambda node: node.real * math.sin(node.imag),
+    "mixed": lambda node: node.real,
+}
+
+
+def _shared_node_quad(node: Callable[[float], complex], lo: float, hi: float,
+                      pts: list[float] | None, tol: float,
+                      parts: tuple[str, ...]) -> tuple[float, ...]:
+    """One quad integral over [lo, hi] per name in `parts` (keys of
+    _INTEGRANDS) of node(z) = complex(weight, phase difference).
+
+    The integrals visit the same Gauss-Kronrod nodes, so `node` is
+    evaluated once per distinct node and shared.
+    """
+    memo: dict[float, complex] = {}
+
+    def cached(z: float) -> complex:
+        value = memo.get(z)
+        if value is None:
+            value = node(z)
+            if len(memo) < _NODE_MEMO_CAP:
+                memo[z] = value
+        return value
+
+    return tuple(_quad(lambda z, f=_INTEGRANDS[part]: f(cached(z)), lo, hi, pts, tol)
+                 for part in parts)
+
+
+def _point_integrals(profile: Profile, chi: float, z_bar: float, tol: float,
+                     parts: tuple[str, ...]) -> tuple[float, ...]:
+    """The integrals named in `parts` at (chi, z_bar), on the intersection
+    of the two supports with comb teeth as breakpoints."""
     _check_inputs(chi, tol, z_bar)
     lo, hi = _integration_bounds(profile, chi, z_bar)
     if lo >= hi:
-        return 0.0 + 0.0j
+        return (0.0,) * len(parts)
     pts = _breakpoints(profile, chi, z_bar, lo, hi)
 
-    def dpsi(z: float) -> float:
-        return phase_difference(profile, chi, z_bar, z)
+    def node(z: float) -> complex:
+        return complex(modulus(profile, chi * z + z_bar) * modulus(profile, z / chi),
+                       phase_difference(profile, chi, z_bar, z))
 
-    def weight(z: float) -> float:
-        return modulus(profile, chi * z + z_bar) * modulus(profile, z / chi)
+    return _shared_node_quad(node, lo, hi, pts, tol, parts)
 
-    re = _quad(lambda z: weight(z) * math.cos(dpsi(z)), lo, hi, pts, tol)
-    im = _quad(lambda z: weight(z) * math.sin(dpsi(z)), lo, hi, pts, tol)
-    return complex(re, im)
+
+def lambda_pure(profile: Profile, chi: float, z_bar: float,
+                tol: float = DEFAULT_TOL) -> complex:
+    """Complex pure-state overlap integral; |result| is Delta_p."""
+    return complex(*_point_integrals(profile, chi, z_bar, tol, ("re", "im")))
 
 
 def overlap_pure(profile: Profile, chi: float, z_bar: float,
@@ -150,19 +192,15 @@ def overlap_pure(profile: Profile, chi: float, z_bar: float,
 def overlap_mixed(profile: Profile, chi: float, z_bar: float,
                   tol: float = DEFAULT_TOL) -> float:
     """Delta_m: same integral with the phase removed."""
-    _check_inputs(chi, tol, z_bar)
-    lo, hi = _integration_bounds(profile, chi, z_bar)
-    if lo >= hi:
-        return 0.0
-    pts = _breakpoints(profile, chi, z_bar, lo, hi)
-    return _quad(lambda z: modulus(profile, chi * z + z_bar) * modulus(profile, z / chi),
-                 lo, hi, pts, tol)
+    return _point_integrals(profile, chi, z_bar, tol, ("mixed",))[0]
 
 
 def evaluate_overlap(profile: Profile, chi: float, z_bar: float,
                      tol: float = DEFAULT_TOL) -> OverlapResult:
-    lam = lambda_pure(profile, chi, z_bar, tol=tol)
-    dm = overlap_mixed(profile, chi, z_bar, tol=tol)
+    """Lambda_p, Delta_p and Delta_m at one point from one shared set of
+    integrand evaluations."""
+    re, im, dm = _point_integrals(profile, chi, z_bar, tol, ("re", "im", "mixed"))
+    lam = complex(re, im)
     return OverlapResult(delta_p=abs(lam), delta_m=dm, lambda_p=lam,
                          chi=chi, z_bar=z_bar)
 
@@ -324,13 +362,9 @@ def overlap_multipeak(envelope: Callable[[float], float],
 
     psi = envelope_phase if envelope_phase is not None else (lambda y: 0.0)
 
-    def weight(z: float) -> float:
-        return combined(chi * z + z_bar) * combined(z / chi)
+    def node(z: float) -> complex:
+        return complex(combined(chi * z + z_bar) * combined(z / chi),
+                       psi(chi * z + z_bar) - psi(z / chi))
 
-    def dpsi(z: float) -> float:
-        return psi(chi * z + z_bar) - psi(z / chi)
-
-    re = _quad(lambda z: weight(z) * math.cos(dpsi(z)), -z_extent, z_extent, pts, tol)
-    im = _quad(lambda z: weight(z) * math.sin(dpsi(z)), -z_extent, z_extent, pts, tol)
-    dm = _quad(weight, -z_extent, z_extent, pts, tol)
+    re, im, dm = _shared_node_quad(node, -z_extent, z_extent, pts, tol, ("re", "im", "mixed"))
     return math.hypot(re, im), dm

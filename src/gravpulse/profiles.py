@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class Profile:
     d_tilde: float = 0.0          # comb kinds only: tooth spacing
     delta_z0: float = 0.0         # quadratic comb only: phase-center offset
     n_max: int = 0                # comb tooth truncation index
-    _teeth: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.kind.is_comb:
@@ -126,8 +125,6 @@ class Profile:
                     f"{MIN_TOOTH_SEPARATION:g}; comb teeth are not well separated")
             if self.n_max < 1:
                 raise ValidityError("comb profiles need n_max >= 1")
-            teeth = np.arange(-self.n_max, self.n_max + 1, dtype=float) * self.d_tilde
-            object.__setattr__(self, "_teeth", teeth)
             # Truncation must actually reach the target dropped weight.
             dropped = math.exp(-0.5 * ((self.n_max + 1) * self.d_tilde) ** 2)
             if dropped > _TRUNCATION_WEIGHT:
@@ -139,11 +136,18 @@ class Profile:
 
     @property
     def z_extent(self) -> float:
-        """Half-width of the truncation domain; |F| tails fall below ~1e-21
-        of the peak outside [-z_extent, z_extent]."""
+        """Half-width of the truncation domain.  Outside [-z_extent, z_extent]
+        the Gaussian envelope of |F| is below exp(-25) ~ 1.4e-11 of its peak,
+        so |F|^2 is below ~2e-22 of its peak."""
         if not self.kind.is_comb:
             return 10.0
         return max(10.0, self.n_max * self.d_tilde + 10.0 / self.sigma_tilde + 10.0)
+
+    @functools.cached_property
+    def _teeth(self) -> tuple[float, ...]:
+        """Comb tooth centers n*d_tilde for |n| <= n_max, ascending."""
+        teeth = np.arange(-self.n_max, self.n_max + 1, dtype=float) * self.d_tilde
+        return tuple(teeth.tolist())
 
     @functools.cached_property
     def norm_constant(self) -> float:
@@ -225,12 +229,13 @@ def comb_tooth_positions(profile: Profile) -> np.ndarray:
     """Tooth centers n*d_tilde of a comb profile, for |n| <= n_max."""
     if not profile.kind.is_comb:
         raise ValidityError("tooth positions are defined for comb profiles only")
-    return profile._teeth.copy()
+    return np.array(profile._teeth)
 
 
 def modulus(profile: Profile, z):
     """|F(z)|; accepts scalars or arrays and matches the input shape."""
-    scalar = np.ndim(z) == 0
+    # isinstance first: np.ndim costs more than a scalar Gaussian evaluation.
+    scalar = isinstance(z, float) or np.ndim(z) == 0
     if not profile.kind.is_comb:
         if scalar:
             return _GAUSS_NORM * math.exp(-0.25 * float(z) ** 2)
@@ -242,10 +247,18 @@ def modulus(profile: Profile, z):
     if scalar:
         zf = float(z)
         acc = 0.0
-        for t in teeth:
-            e = s2over4 * (zf - t) ** 2
-            if e < 60.0:
-                acc += math.exp(-e)
+        if math.isfinite(zf):
+            # Only teeth within `reach` of z can have e < 60.  Visit that
+            # index window, rounded outwards, in ascending order: the same
+            # terms are summed in the same order as over all teeth.
+            reach = math.sqrt(60.0 / s2over4)
+            d, n = profile.d_tilde, profile.n_max
+            lo = max(math.floor((zf - reach) / d) + n, 0)
+            hi = max(math.ceil((zf + reach) / d) + n + 1, 0)
+            for t in teeth[lo:hi]:
+                e = s2over4 * (zf - t) ** 2
+                if e < 60.0:
+                    acc += math.exp(-e)
         return c * math.exp(-0.25 * zf * zf) * acc
     z = np.asarray(z, dtype=float)
     tooth_sum = np.zeros_like(z)

@@ -171,9 +171,8 @@ def check_comb_linear_vs_quadrature() -> tuple[float, float]:
     for phi in (0.0, 5.0):
         prof = profiles.comb(10.0, 2.0, phi_tilde=phi)
         dp_ne, dm_ne, _ = analytic.comb_linear_near_earth_optimal(d1, 10.0, 2.0, phi)
-        dp_q = overlap.overlap_pure(prof, chi, 0.0, tol=1e-11)
-        dm_q = overlap.overlap_mixed(prof, chi, 0.0, tol=1e-11)
-        worst = max(worst, abs(dp_ne - dp_q), abs(dm_ne - dm_q))
+        res = overlap.evaluate_overlap(prof, chi, 0.0, tol=1e-11)
+        worst = max(worst, abs(dp_ne - res.delta_p), abs(dm_ne - res.delta_m))
     return worst, 1e-6
 
 

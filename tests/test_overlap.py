@@ -87,6 +87,47 @@ def test_invalid_inputs():
             overlap_mixed(gaussian_linear(0.0), 1.0, 0.0, tol=tol)
 
 
+def test_point_overlap_evaluates_each_node_once(monkeypatch):
+    # Re Lambda_p, Im Lambda_p and Delta_m are three quad integrals on the
+    # same bounds and breakpoints; they must share the modulus evaluations
+    # (two per distinct node) instead of repeating them per integral.
+    nodes = set()
+    modulus_calls = 0
+    scipy_quad = overlap.quad
+
+    def recording_quad(func, *args, **kwargs):
+        def integrand(x):
+            nodes.add(x)
+            return func(x)
+        return scipy_quad(integrand, *args, **kwargs)
+
+    def counting_modulus(profile, z):
+        nonlocal modulus_calls
+        modulus_calls += 1
+        return modulus(profile, z)
+
+    monkeypatch.setattr(overlap, "quad", recording_quad)
+    monkeypatch.setattr(overlap, "modulus", counting_modulus)
+    evaluate_overlap(comb(10.0, 2.0, phi_tilde=1.0), 1.05, 0.3, tol=1e-12)
+    assert nodes
+    assert modulus_calls <= 2 * len(nodes)
+
+
+@pytest.mark.parametrize("profile", [
+    gaussian_quadratic(1.5, z0=5.0),
+    comb(10.0, 2.0, phi_tilde=1.0),
+    comb(10.0, 2.0, phi_tilde=0.7, phase_kind="quadratic", delta_z0=0.4),
+])
+def test_point_overlap_is_independent_of_node_memo_cap(profile, monkeypatch):
+    chi, zb, tol = 1.05, 0.3, 1e-12
+    ref = evaluate_overlap(profile, chi, zb, tol=tol)
+    assert ref.lambda_p == lambda_pure(profile, chi, zb, tol=tol)
+    assert ref.delta_m == overlap_mixed(profile, chi, zb, tol=tol)
+    for cap in (0, 7):
+        monkeypatch.setattr(overlap, "_NODE_MEMO_CAP", cap)
+        assert evaluate_overlap(profile, chi, zb, tol=tol) == ref
+
+
 # -- multi-peak form -----------------------------------------------------------
 
 

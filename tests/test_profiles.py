@@ -154,6 +154,42 @@ def test_comb_array_modulus_matches_scalar_loop(sig, d):
     assert np.max(np.abs(arr - ref)) <= 16 * np.finfo(float).eps * modulus(p, 0.0)
 
 
+def _full_loop_modulus(p, z):
+    """Scalar comb modulus summed over every tooth, skipping terms below
+    exp(-60): the reference the windowed scalar loop must reproduce."""
+    zf = float(z)
+    s2over4 = 0.25 * p.sigma_tilde**2
+    acc = 0.0
+    with np.errstate(over="ignore"):
+        for t in comb_tooth_positions(p):
+            e = s2over4 * (zf - t) ** 2
+            if e < 60.0:
+                acc += math.exp(-e)
+    return p.norm_constant * math.exp(-0.25 * zf * zf) * acc
+
+
+@pytest.mark.parametrize("sig, d, n_max", [
+    (10.0, 2.0, None), (25.0, 0.5, None), (5.0, 2.0, None), (100.0, 0.1, None),
+    (13.0, 0.77, None), (10.0, 2.0, 12), (7.3, 1.5, 9),
+])
+def test_comb_scalar_modulus_matches_full_tooth_loop(sig, d, n_max):
+    p = comb(sig, d, n_max=n_max)
+    teeth = comb_tooth_positions(p)
+    reach = math.sqrt(60.0 / (0.25 * sig**2))
+    outer = teeth[-1] + reach
+    rng = np.random.default_rng(11)
+    zs = [0.0, -0.0, 1e300, -1e300, 1e20, -1e20, float("inf"), float("-inf"),
+          outer + d, -outer - d, 2.0 * outer, -2.0 * outer, p.z_extent, -p.z_extent]
+    zs += list(rng.uniform(-1.2 * outer, 1.2 * outer, 400))
+    for t in teeth:
+        for edge in (t, t - reach, t + reach):
+            zs += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    for z in zs:
+        assert modulus(p, z).hex() == _full_loop_modulus(p, z).hex(), z
+    assert math.isnan(modulus(p, float("nan")))
+    assert modulus(p, float("inf")) == 0.0 and modulus(p, -1e300) == 0.0
+
+
 def test_comb_preconditions():
     with pytest.raises(ValidityError):
         comb(3.0, 4.0)            # sigma_tilde too small
