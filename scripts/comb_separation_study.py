@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from gravpulse.analytic import NearEarthParams, OverlapFamily, relative_change
+from gravpulse.analytic import relative_change
 from gravpulse.overlap import evaluate_overlap
 from gravpulse.profiles import comb
 
@@ -41,9 +41,7 @@ def main() -> int:
         prof = comb(sig, float(d), phi_tilde=phi)
         res = evaluate_overlap(prof, chi, 0.0, tol=1e-11)
         eta_q = res.delta_p / res.delta_m - 1.0
-        eta_f = relative_change(
-            OverlapFamily.COMB_LINEAR,
-            NearEarthParams(delta1=d1, phi_tilde=phi, sigma_tilde=sig, d_tilde=float(d)))
+        eta_f = relative_change(prof, d1)
         print(f"{d:.2f},{eta_f:.6e},{eta_q:.6e},{eta_q / eta_gauss:.4f}")
     return 0
 

@@ -13,9 +13,8 @@ import sys
 
 import numpy as np
 
-from gravpulse.analytic import (NearEarthParams, OverlapFamily,
-                                gaussian_linear_optimal,
-                                gaussian_quadratic_optimal, relative_change)
+from gravpulse.analytic import (gaussian_linear_optimal, gaussian_quadratic_optimal,
+                                relative_change)
 from gravpulse.optimize import maximize_shift
 from gravpulse.profiles import gaussian_linear, gaussian_quadratic
 from gravpulse.spacetime import SpacetimeConfig, delta_expansion
@@ -44,10 +43,8 @@ def main() -> int:
         closed_lin = dp / dm - 1.0
         dp, dm, _ = gaussian_quadratic_optimal(args.chi, phi, args.z0)
         closed_quad = dp / dm - 1.0
-        leo_lin = relative_change(OverlapFamily.GAUSSIAN_LINEAR,
-                                  NearEarthParams(delta1=d1, phi_tilde=phi))
-        leo_quad = relative_change(OverlapFamily.GAUSSIAN_QUADRATIC,
-                                   NearEarthParams(delta1=d1, phi_tilde=phi, z0=args.z0))
+        leo_lin = relative_change(lin, d1)
+        leo_quad = relative_change(quad, d1)
         print(f"{phi:.6g},{num_lin:.10e},{closed_lin:.10e},"
               f"{num_quad:.10e},{closed_quad:.10e},{leo_lin:.10e},{leo_quad:.10e}",
               file=out)

@@ -7,9 +7,8 @@ and completely mixed single-photon states and their multi-photon
 extensions.
 """
 
-from .analytic import (CombQuadraticResult, NearEarthParams, OverlapFamily,
-                       comb_linear_near_earth_optimal, comb_quadratic_optimal,
-                       estimate_zeta, gaussian_linear_closed,
+from .analytic import (CombQuadraticResult, comb_linear_near_earth_optimal,
+                       comb_quadratic_optimal, estimate_zeta, gaussian_linear_closed,
                        gaussian_linear_lambda, gaussian_linear_near_earth,
                        gaussian_linear_optimal, gaussian_quadratic_closed,
                        gaussian_quadratic_coefficients,
@@ -33,7 +32,7 @@ from .scenario import (Scenario, SweepSpec, dump_scenario, load_preset,
 from .spacetime import (EARTH_RADIUS_M, EARTH_SCHWARZSCHILD_RADIUS_M,
                         RedshiftFactor, SpacetimeConfig, classical_redshift,
                         delta_expansion, delta_near_limit, kappa,
-                        kappa_from_delta, redshift_factor)
+                        kappa_from_delta, redshift_delta, redshift_factor)
 from .states import (DiscreteState, FrequencyGrid, StateKind, apply_redshift,
                      fidelity, mixed_state, pure_state, purity,
                      sharp_frequency_diagonal_trace)

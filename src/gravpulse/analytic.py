@@ -79,15 +79,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidityError
+from .optimize import OptimizationResult
 from .overlap import node_spacing
-from .profiles import Profile, ProfileKind, comb, jacobi_theta3, modulus, phase_slope
+from .profiles import Profile, ProfileKind, jacobi_theta3, modulus, phase_slope
 
 __all__ = [
-    "OverlapFamily",
-    "NearEarthParams",
     "CombQuadraticResult",
     "WeakFieldCoefficients",
-    "WeakFieldOptimum",
     "gaussian_linear_closed",
     "gaussian_linear_lambda",
     "gaussian_linear_optimal",
@@ -104,9 +102,6 @@ __all__ = [
     "weak_field_coefficients",
     "weak_field_optimum",
 ]
-
-OverlapFamily = ProfileKind     # relative_change takes a profile kind
-
 
 # -- Gaussian envelope, linear phase ------------------------------------------
 
@@ -271,33 +266,6 @@ def estimate_zeta(x: float, tol: float = 1e-16) -> float:
 
 
 @dataclass(frozen=True)
-class NearEarthParams:
-    """Weak-field parameter bundle for the comb formulas, with the validity
-    conditions of the perturbative treatment."""
-
-    delta1: float
-    phi_tilde: float = 0.0
-    z0: float = 0.0
-    sigma_tilde: float = 10.0
-    d_tilde: float = 0.5
-    delta_z0: float = 0.0
-    zeta: float | None = None     # computed from the profile scale when None
-    validity_threshold: float = 0.1
-
-    def validate(self) -> None:
-        t = self.validity_threshold
-        checks = {
-            "phi_tilde*delta1": abs(self.phi_tilde * self.delta1),
-            "z0^2*delta1^2": (self.z0 * self.delta1) ** 2,
-            "d^2*sigma^4*delta1^2": self.d_tilde**2 * self.sigma_tilde**4 * self.delta1**2,
-        }
-        for name, value in checks.items():
-            if value >= t:
-                raise ValidityError(
-                    f"perturbative validity violated: {name} = {value:.3e} >= {t:g}")
-
-
-@dataclass(frozen=True)
 class CombQuadraticResult:
     delta_p_opt: float
     delta_m_opt: float
@@ -307,30 +275,31 @@ class CombQuadraticResult:
 
 
 # Case thresholds: the source regimes are only asymptotic ("phi of order
-# one" vs "phi large"), so concrete splits are needed and configurable.
+# one" vs "phi large"), so concrete splits are needed.
 PHI_CASE_THRESHOLD = 2.0
 DELTA_Z0_SMALL_FACTOR = 10.0
 
 
-def comb_quadratic_optimal(params: NearEarthParams,
-                           phi_threshold: float = PHI_CASE_THRESHOLD,
-                           dz0_factor: float = DELTA_Z0_SMALL_FACTOR
-                           ) -> CombQuadraticResult:
-    """Weak-field optimal overlaps for the quadratic-phase comb.
+def comb_quadratic_optimal(profile: Profile, delta1: float) -> CombQuadraticResult:
+    """Weak-field optimal overlaps for the quadratic-phase comb `profile`
+    (its sigma_tilde, d_tilde, phi_tilde, z0 and delta_z0) at
+    chi = 1 + delta1.
 
     Returns the regime-split expansions:
 
-    * case "i"     phi <= phi_threshold:
+    * case "i"     phi <= PHI_CASE_THRESHOLD:
           Delta_p = Delta_m = 1 - delta1^2 - sigma^2*delta1^2/2
           (independent of delta_z0)
-    * case "ii.i"  phi above threshold, |delta_z0| <= dz0_factor*delta1^2:
+    * case "ii.i"  phi above threshold,
+          |delta_z0| <= DELTA_Z0_SMALL_FACTOR*delta1^2:
           Delta_p gains +16*(phi^4/sigma^2)*delta1^2 over Delta_m
     * case "ii.ii" otherwise: case ii.i plus the delta_z0^2*delta1^2
           correction bracket
 
     z_bar_opt = 8*phi^2*(delta_z0 - 4*delta1^2)*delta1/(1 + Sigma) with
-    Sigma = sigma^2/(16*zeta*d^2*phi^2); zeta is estimated at runtime from
-    the comb scale unless given.
+    Sigma = sigma^2/(16*zeta*d^2*phi^2); zeta is estimated from the comb
+    scale.  Raises ValidityError where a perturbative parameter
+    (phi*delta1, z0^2*delta1^2, d^2*sigma^4*delta1^2) reaches 0.1.
 
     This case expansion does not describe the quadratic phase of
     `profiles.comb`: for comb(13, 0.77, phi_tilde=3) it gives
@@ -338,18 +307,23 @@ def comb_quadratic_optimal(params: NearEarthParams,
     of `weak_field_coefficients` give -1296.  It is kept only as an oracle
     for `gravpulse validate` (its phase-free Delta_m_opt).
     """
-    params.validate()
-    d1 = params.delta1
-    phi = params.phi_tilde
-    s2 = params.sigma_tilde**2
-    d2t = params.d_tilde**2
-    dz0 = params.delta_z0
+    d1 = delta1
+    phi = profile.phi_tilde
+    checks = {
+        "phi_tilde*delta1": abs(phi * d1),
+        "z0^2*delta1^2": (profile.z0 * d1) ** 2,
+        "d^2*sigma^4*delta1^2": profile.d_tilde**2 * profile.sigma_tilde**4 * d1**2,
+    }
+    for name, value in checks.items():
+        if value >= 0.1:
+            raise ValidityError(
+                f"perturbative validity violated: {name} = {value:.3e} >= 0.1")
+    s2 = profile.sigma_tilde**2
+    d2t = profile.d_tilde**2
+    dz0 = profile.delta_z0
 
-    if params.zeta is not None:
-        zeta = params.zeta
-    else:
-        x = 0.5 * d2t * (1.0 + s2 * d1 * d1 - 32.0 * d1 * d1 * phi**4 / s2)
-        zeta = estimate_zeta(x)
+    x = 0.5 * d2t * (1.0 + s2 * d1 * d1 - 32.0 * d1 * d1 * phi**4 / s2)
+    zeta = estimate_zeta(x)
     if zeta <= 0.0:
         raise ValidityError(f"zeta must be positive, got {zeta:g}")
 
@@ -363,11 +337,11 @@ def comb_quadratic_optimal(params: NearEarthParams,
 
     base = 1.0 - d1 * d1 - 0.5 * s2 * d1 * d1
     dm = base
-    if phi <= phi_threshold:
+    if phi <= PHI_CASE_THRESHOLD:
         return CombQuadraticResult(base, dm, z_bar_opt, "i", zeta)
 
     gain = 16.0 * phi**4 / s2 * d1 * d1
-    if abs(dz0) <= dz0_factor * d1 * d1:
+    if abs(dz0) <= DELTA_Z0_SMALL_FACTOR * d1 * d1:
         return CombQuadraticResult(base + gain, dm, z_bar_opt, "ii.i", zeta)
 
     one_plus = 1.0 + big_sigma
@@ -384,8 +358,8 @@ def comb_quadratic_optimal(params: NearEarthParams,
 # -- relative change -----------------------------------------------------------
 
 
-def relative_change(kind: OverlapFamily, params: NearEarthParams) -> float:
-    """eta = Delta_p_opt/Delta_m_opt - 1 for the given profile family.
+def relative_change(profile: Profile, delta1: float) -> float:
+    """eta = Delta_p_opt/Delta_m_opt - 1 of `profile` at chi = 1 + delta1.
 
     Computed through expm1 on the exact log-ratio so that the delta1^2
     scale survives down to real near-Earth magnitudes (~1e-20) where the
@@ -396,35 +370,33 @@ def relative_change(kind: OverlapFamily, params: NearEarthParams) -> float:
     for eta/delta1^2 of comb(13, 0.77, phi_tilde=3)) and is kept only as an
     oracle.
     """
-    d1 = params.delta1
-    phi = params.phi_tilde
+    d1 = delta1
+    phi = profile.phi_tilde
     chi = 1.0 + d1
     p = d1 * (2.0 + d1)                      # chi^2 - 1, cancellation-free
     q = chi**4 + 1.0
-    if kind is OverlapFamily.GAUSSIAN_LINEAR:
+    kind = profile.kind
+    if kind is ProfileKind.GAUSSIAN_LINEAR:
         return math.expm1(-p * p * phi * phi / q)
-    if kind is OverlapFamily.COMB_LINEAR:
-        s2 = params.sigma_tilde**2
-        x0 = 0.5 * (s2 / (1.0 + s2)) * params.d_tilde**2
+    if kind is ProfileKind.COMB_LINEAR:
+        s2 = profile.sigma_tilde**2
+        x0 = 0.5 * (s2 / (1.0 + s2)) * profile.d_tilde**2
         qh = math.exp(-x0 * (1.0 + s2 * d1 * d1))
-        b = (s2 / (1.0 + s2)) * phi * params.d_tilde * p * (2.0 + p) / q
+        b = (s2 / (1.0 + s2)) * phi * profile.d_tilde * p * (2.0 + p) / q
         dephase = 0.5 * b * b * _theta_mean_square_index(qh)
         return math.expm1(-2.0 * d1 * d1 * phi * phi / s2 - dephase)
-    if kind is OverlapFamily.GAUSSIAN_QUADRATIC:
+    if kind is ProfileKind.GAUSSIAN_QUADRATIC:
         ph4 = phi**4
         chi4m1 = p * (2.0 + p)               # chi^4 - 1
         xim1 = 16.0 * ph4 * chi4m1 * chi4m1 / (q * q)
         xi = 1.0 + xim1
-        a1 = chi * chi * p * ph4 * params.z0 / (q * q * xi)
+        a1 = chi * chi * p * ph4 * profile.z0 / (q * q * xi)
         a2 = (1.0 + 16.0 * ph4) / (q * xi)
         log_ratio = (-0.25 * math.log1p(xim1)
-                     - 4.0 * ph4 * p * p * params.z0**2 / (q * xi)
+                     - 4.0 * ph4 * p * p * profile.z0**2 / (q * xi)
                      + 256.0 * a1 * a1 / a2)
         return math.expm1(log_ratio)
-    if kind is OverlapFamily.COMB_QUADRATIC:
-        prof = comb(params.sigma_tilde, params.d_tilde, phi, "quadratic", params.delta_z0)
-        return weak_field_optimum(prof, d1).eta
-    raise ValidityError(f"unknown overlap family {kind!r}")
+    return weak_field_optimum(profile, d1).eta
 
 
 # -- weak-field optimum per profile --------------------------------------------
@@ -438,14 +410,6 @@ class WeakFieldCoefficients(NamedTuple):
     c_m: float                # mixed overlap (optimal shift 0)
     c_naive: float            # pure overlap at z_bar = 0
     z_rate: float             # z_bar_opt/delta1
-
-
-class WeakFieldOptimum(NamedTuple):
-    z_bar_opt: float
-    delta_p_opt: float
-    delta_m_opt: float
-    eta: float                # Delta_p_opt/Delta_m_opt - 1, kept where both round to 1
-    naive_delta_p: float      # pure overlap at z_bar = 0
 
 
 @functools.lru_cache(maxsize=256)
@@ -482,14 +446,15 @@ def weak_field_coefficients(profile: Profile) -> WeakFieldCoefficients:
                                  c_m + 2.0 * (a * a * m2 + spread), -2.0 * a * b * m2 / var_p)
 
 
-def weak_field_optimum(profile: Profile, delta1: float) -> WeakFieldOptimum:
+def weak_field_optimum(profile: Profile, delta1: float) -> OptimizationResult:
     """Optimal overlaps of `profile` at chi = 1 + delta1 to second order in
-    delta1: each overlap is exp(-c*delta1^2) with c from
-    `weak_field_coefficients`, and eta = expm1(-(c_p - c_m)*delta1^2) keeps
-    the delta1^2 scale where both overlaps round to 1."""
+    delta1, as the "weak-field" record: each overlap is exp(-c*delta1^2)
+    with c from `weak_field_coefficients`, eta = expm1(-(c_p - c_m)*delta1^2)
+    keeps the delta1^2 scale where both overlaps round to 1, and the mixed
+    optimum sits at z_bar = 0 with no overlap evaluated."""
     c = weak_field_coefficients(profile)
     d2 = delta1 * delta1
     # + 0.0 turns the -0.0 of an unshifted profile at delta1 < 0 into 0.0
-    return WeakFieldOptimum(c.z_rate * delta1 + 0.0, math.exp(-c.c_p * d2),
-                            math.exp(-c.c_m * d2), math.expm1(-(c.c_p - c.c_m) * d2),
-                            math.exp(-c.c_naive * d2))
+    return OptimizationResult(c.z_rate * delta1 + 0.0, math.exp(-c.c_p * d2), 0.0,
+                              math.exp(-c.c_m * d2), math.exp(-c.c_naive * d2),
+                              math.expm1(-(c.c_p - c.c_m) * d2), 0, True, "weak-field")

@@ -13,19 +13,17 @@ import math
 import sys
 import warnings
 from dataclasses import replace
-from typing import NamedTuple
 
 from . import analytic, validation
 from .errors import (ConfigError, GridMismatchError, NonConvergenceError,
                      SupportEscapeError, ValidityError)
 from .multiphoton import (PhotonKind, PhotonStatistics, coherent_overlap, fock_overlap,
                           squeezed_overlap)
-from .optimize import FlatObjectiveWarning, maximize_shift
+from .optimize import FlatObjectiveWarning, OptimizationResult, maximize_shift
 from .overlap import OverlapResult, evaluate_overlap
 from .profiles import Profile, ProfileKind
 from .scenario import Scenario, dump_scenario, load_preset, parse_scenario, preset_names
-from .spacetime import (RedshiftFactor, classical_redshift, kappa_from_delta,
-                        redshift_factor)
+from .spacetime import RedshiftFactor, kappa_from_delta, redshift_delta, redshift_factor
 from .states import FrequencyGrid, apply_redshift, fidelity, mixed_state, pure_state, purity
 
 __all__ = ["main"]
@@ -124,6 +122,11 @@ def _chi_and_deltas(sc: Scenario) -> tuple[float, float, float]:
     return sc.chi_override, float("nan"), float("nan")
 
 
+def _delta(sc: Scenario) -> float:
+    """chi - 1 to full relative precision, which the rounded chi lacks."""
+    return redshift_delta(sc.spacetime) if sc.spacetime is not None else sc.chi_override - 1.0
+
+
 def cmd_redshift(sc: Scenario, out) -> int:
     chi, d1, d2 = _chi_and_deltas(sc)
     if sc.spacetime is not None:
@@ -131,7 +134,7 @@ def cmd_redshift(sc: Scenario, out) -> int:
         kap = kappa_from_delta(d1 + d2)
     else:
         chi_exact = chi
-        kap = (chi * chi - 1.0) / (chi * chi)
+        kap = kappa_from_delta(_delta(sc))
     omega0 = sc.frame.omega0
     print(f"chi = {_fmt(chi_exact)}", file=out)
     print(f"delta1 = {_fmt(d1)}", file=out)
@@ -176,60 +179,48 @@ def _analytic_prediction(prof: Profile, chi: float) -> tuple[float, float, float
     return None
 
 
-class Optimum(NamedTuple):
-    """One scenario's optimal shift and overlaps, and the path that gave them."""
-
-    path: str                 # "weak-field" or "numeric"
-    chi: float
-    delta1: float
-    z_bar_opt: float
-    delta_omega_opt: float    # rad/s
-    delta_p_opt: float
-    delta_m_opt: float
-    eta: float
-    naive_delta_p: float
-    n_evals: int
-    warning: str | None = None    # the numeric scan found no resolvable deformation
-
-
-def _optimum(sc: Scenario, tol: float) -> Optimum:
-    """The optimum of `sc`: weak-field expressions below
-    ANALYTIC_FALLBACK_DELTA1, the numeric optimizer otherwise."""
-    chi, d1, d2 = _chi_and_deltas(sc)
+def _optimum(sc: Scenario, tol: float
+             ) -> tuple[float, float, float, OptimizationResult, str | None]:
+    """(chi, delta1, delta_omega_opt, record, warning) for `sc`: the record
+    comes from the weak-field expressions below ANALYTIC_FALLBACK_DELTA1 and
+    from the numeric optimizer otherwise, whose flat-scan warning, if any,
+    is returned.  delta_omega_opt = (sigma/chi^2)*(z_bar_opt - (chi^2 - 1)*z0)
+    in rad/s, with chi^2 - 1 formed from the exact chi - 1."""
+    chi, d1, _ = _chi_and_deltas(sc)
+    warning = None
     if abs(d1) < ANALYTIC_FALLBACK_DELTA1:        # NaN (bare chi) compares false
-        wf = analytic.weak_field_optimum(sc.profile, d1)
-        domega = classical_redshift(wf.z_bar_opt, 1.0 + d1 + d2, sc.frame.sigma,
-                                    sc.profile.z0)
-        return Optimum("weak-field", chi, d1, wf.z_bar_opt, domega, wf.delta_p_opt,
-                       wf.delta_m_opt, wf.eta, wf.naive_delta_p, 0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", FlatObjectiveWarning)
-        res = maximize_shift(sc.profile, chi, frame=sc.frame, quad_tol=tol * 1e-2)
-    flat = [str(w.message) for w in caught if issubclass(w.category, FlatObjectiveWarning)]
-    return Optimum("numeric", chi, d1, res.z_bar_opt, res.delta_omega_opt, res.delta_p_opt,
-                   res.delta_m_opt, res.eta, res.naive_delta_p, res.n_evals,
-                   flat[0] if flat else None)
+        res = analytic.weak_field_optimum(sc.profile, d1)
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", FlatObjectiveWarning)
+            res = maximize_shift(sc.profile, chi, quad_tol=tol * 1e-2)
+        flat = [str(w.message) for w in caught
+                if issubclass(w.category, FlatObjectiveWarning)]
+        warning = flat[0] if flat else None
+    delta = _delta(sc)
+    domega = (sc.frame.sigma / (chi * chi)) * (res.z_bar_opt
+                                               - delta * (2.0 + delta) * sc.profile.z0)
+    return chi, d1, domega, res, warning
 
 
 def cmd_optimize(sc: Scenario, tol: float, out) -> int:
-    opt = _optimum(sc, tol)
-    if opt.warning is not None:
-        print(f"warning: {opt.warning} (try --chi to exaggerate the redshift)",
-              file=sys.stderr)
-    print(f"chi = {_fmt(opt.chi)}", file=out)
-    print(f"z_bar_opt = {_fmt(opt.z_bar_opt)}", file=out)
-    print(f"delta_omega_opt = {_fmt(opt.delta_omega_opt)} rad/s", file=out)
-    print(f"delta_p_opt = {_fmt(opt.delta_p_opt)}", file=out)
-    print(f"delta_m_opt = {_fmt(opt.delta_m_opt)}", file=out)
-    print(f"eta = {_fmt(opt.eta)}", file=out)
-    print(f"naive delta_p(z_bar=0) = {_fmt(opt.naive_delta_p)}", file=out)
-    print(f"path = {opt.path}", file=out)
-    print(f"n_evals = {opt.n_evals}", file=out)
+    chi, _, domega, res, warning = _optimum(sc, tol)
+    if warning is not None:
+        print(f"warning: {warning} (try --chi to exaggerate the redshift)", file=sys.stderr)
+    print(f"chi = {_fmt(chi)}", file=out)
+    print(f"z_bar_opt = {_fmt(res.z_bar_opt)}", file=out)
+    print(f"delta_omega_opt = {_fmt(domega)} rad/s", file=out)
+    print(f"delta_p_opt = {_fmt(res.delta_p_opt)}", file=out)
+    print(f"delta_m_opt = {_fmt(res.delta_m_opt)}", file=out)
+    print(f"eta = {_fmt(res.eta)}", file=out)
+    print(f"naive delta_p(z_bar=0) = {_fmt(res.naive_delta_p)}", file=out)
+    print(f"path = {res.path}", file=out)
+    print(f"n_evals = {res.n_evals}", file=out)
     # On the numeric path, the gap to the closed form compares two routes.
-    pred = _analytic_prediction(sc.profile, opt.chi) if opt.path == "numeric" else None
+    pred = _analytic_prediction(sc.profile, chi) if res.path == "numeric" else None
     if pred is not None:
         for name, a, got in zip(("delta_p_opt", "delta_m_opt", "z_bar_opt"), pred,
-                                (opt.delta_p_opt, opt.delta_m_opt, opt.z_bar_opt)):
+                                (res.delta_p_opt, res.delta_m_opt, res.z_bar_opt)):
             print(f"analytic {name} = {_fmt(a)} (gap {_fmt(got - a)})", file=out)
     return EXIT_OK
 
@@ -243,18 +234,23 @@ def _sweep_row(sc: Scenario, value: float, tol: float) -> str:
         eta = dp / dm - 1.0
         row = (value, chi, d1, 0.0, float("nan"), dp, dm, eta, base.delta_p, 0)
     else:
-        o = _optimum(sc, tol)
-        row = (value, o.chi, o.delta1, o.z_bar_opt, o.delta_omega_opt, o.delta_p_opt,
-               o.delta_m_opt, o.eta, o.naive_delta_p, o.n_evals)
+        chi, d1, domega, res, _ = _optimum(sc, tol)
+        row = (value, chi, d1, res.z_bar_opt, domega, res.delta_p_opt, res.delta_m_opt,
+               res.eta, res.naive_delta_p, res.n_evals)
     return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
 
 
 def cmd_sweep(sc: Scenario, tol: float, out) -> int:
+    """Write the CSV one row at a time.  Nothing is written until the first
+    row is computed; a later row that fails leaves the header and the rows
+    before it written."""
     if sc.sweep is None:
         raise ConfigError("sweep command needs a sweep section in the scenario")
-    rows = [_sweep_row(sc.with_param(sc.sweep.param, v), v, tol)
-            for v in sc.sweep.values()]
-    print(CSV_HEADER, *rows, sep="\n", file=out)
+    rows = (_sweep_row(sc.with_param(sc.sweep.param, v), v, tol)
+            for v in sc.sweep.values())
+    print(CSV_HEADER, next(rows), sep="\n", file=out)
+    for row in rows:
+        print(row, file=out)
     return EXIT_OK
 
 

@@ -33,8 +33,7 @@ from .errors import ValidityError
 from .overlap import overlap_batch
 # Not called here; perfbench's tracer tests look the name up on this module.
 from .overlap import overlap_pure  # noqa: F401
-from .profiles import DimensionfulFrame, Profile
-from .spacetime import classical_redshift
+from .profiles import Profile
 
 __all__ = [
     "OptimizationResult",
@@ -60,19 +59,22 @@ class FlatObjectiveWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Optimal shifts and overlaps of one profile at one chi, from either
+    path: `maximize_shift` ("numeric") or `analytic.weak_field_optimum`
+    ("weak-field", which has z_bar_m_opt = 0, n_evals = 0, converged)."""
+
     z_bar_opt: float          # maximizer of Delta_p
     delta_p_opt: float
     z_bar_m_opt: float        # maximizer of Delta_m
     delta_m_opt: float
     naive_delta_p: float      # Delta_p at z_bar = 0
     eta: float                # delta_p_opt / delta_m_opt - 1
-    delta_omega_opt: float    # rad/s at z_bar_opt; NaN when no dimensionful frame is given
-    n_evals: int
+    n_evals: int              # overlap evaluations (shifts)
     converged: bool           # both gradient checks
+    path: str                 # "numeric" or "weak-field"
 
 
 def maximize_shift(profile: Profile, chi: float,
-                   frame: DimensionfulFrame | None = None,
                    window: float = SCAN_HALF_WIDTH,
                    xtol: float = 1e-10,
                    quad_tol: float = 1e-12) -> OptimizationResult:
@@ -90,7 +92,9 @@ def maximize_shift(profile: Profile, chi: float,
     units: the loop stops once a step is shorter, once a Newton step is no
     shorter than the Newton step before it (rounding noise), or after
     MAX_NEWTON_STEPS steps.  `converged` reports whether both objectives'
-    slopes at their returned z_bar are below 1e-5.
+    slopes at their returned z_bar are below 1e-5.  The record's path is
+    "numeric"; the classical redshift is left to the caller, which knows
+    chi - 1 more precisely than chi does.
     """
     if not (chi > 0.0 and math.isfinite(chi)):
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
@@ -123,12 +127,10 @@ def maximize_shift(profile: Profile, chi: float,
     z_p, lam_p, _, converged_p = pure or at_zero
     z_m, _, dm_m, converged_m = mixed or at_zero
     delta_p, delta_m = float(abs(lam_p)), float(dm_m)
-    domega = (classical_redshift(z_p, chi, frame.sigma, profile.z0) if frame is not None
-              else float("nan"))
     return OptimizationResult(z_bar_opt=z_p, delta_p_opt=delta_p, z_bar_m_opt=z_m,
                               delta_m_opt=delta_m, naive_delta_p=float(abs(lam[-1])),
-                              eta=delta_p / delta_m - 1.0, delta_omega_opt=domega,
-                              n_evals=n_evals, converged=converged_p and converged_m)
+                              eta=delta_p / delta_m - 1.0, n_evals=n_evals,
+                              converged=converged_p and converged_m, path="numeric")
 
 
 def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray, dm: np.ndarray,

@@ -23,6 +23,7 @@ for every row of a d_tilde sweep.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -73,14 +74,15 @@ class SweepSpec:
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise ConfigError("log sweeps need positive endpoints")
 
-    def values(self) -> list[float]:
+    def values(self) -> Iterator[float]:
+        """The sweep points, computed one at a time."""
         if self.count == 1:
-            return [self.start]
+            return iter((self.start,))
         if self.scale == "log":
             ratio = (self.stop / self.start) ** (1.0 / (self.count - 1))
-            return [self.start * ratio**i for i in range(self.count)]
+            return (self.start * ratio**i for i in range(self.count))
         step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + step * i for i in range(self.count)]
+        return (self.start + step * i for i in range(self.count))
 
 
 @dataclass(frozen=True)

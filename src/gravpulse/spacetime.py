@@ -24,6 +24,7 @@ __all__ = [
     "SpacetimeConfig",
     "RedshiftFactor",
     "redshift_factor",
+    "redshift_delta",
     "delta_expansion",
     "delta_near_limit",
     "kappa",
@@ -57,18 +58,28 @@ class SpacetimeConfig:
             raise ValidityError(f"need r_b > 1.5*r_s, got r_b={self.r_b:g}, r_s={self.r_s:g}")
 
 
-def redshift_factor(cfg: SpacetimeConfig) -> float:
-    """Exact spectral rescaling factor chi for the given geometry.
-
-    Computed as exp(0.25*(log1p(-1.5*r_s/r_b) - log1p(-r_s/r_a))), which
-    keeps full relative precision on chi - 1 down to the ~1e-12 ratios of
-    near-Earth geometries.
-    """
+def _log_chi(cfg: SpacetimeConfig) -> float:
     xa = cfg.r_s / cfg.r_a
     xb = cfg.r_s / cfg.r_b
     if 1.0 - xa <= 0.0 or 1.0 - 1.5 * xb <= 0.0:
         raise ValidityError("redshift factor undefined: fourth-root argument <= 0")
-    return math.exp(0.25 * (math.log1p(-1.5 * xb) - math.log1p(-xa)))
+    return 0.25 * (math.log1p(-1.5 * xb) - math.log1p(-xa))
+
+
+def redshift_factor(cfg: SpacetimeConfig) -> float:
+    """Exact spectral rescaling factor chi for the given geometry.
+
+    Computed as exp(0.25*(log1p(-1.5*r_s/r_b) - log1p(-r_s/r_a))).  The
+    double nearest chi holds chi - 1 only to ~1e-16 absolute, ~1e-6
+    relative at near-Earth delta ~ 1e-10; `redshift_delta` keeps it.
+    """
+    return math.exp(_log_chi(cfg))
+
+
+def redshift_delta(cfg: SpacetimeConfig) -> float:
+    """chi - 1 to full relative precision: expm1 of the log-sum that
+    `redshift_factor` exponentiates."""
+    return math.expm1(_log_chi(cfg))
 
 
 def delta_expansion(cfg: SpacetimeConfig, max_ratio: float = 1e-3) -> tuple[float, float]:
@@ -137,7 +148,9 @@ def classical_redshift(z_bar_opt: float, chi: float, sigma: float, z0: float) ->
         delta_omega_rs = (sigma/chi^2) * (z_bar_opt - (chi^2 - 1)*z0)
 
     With z_bar_opt = 0 this is -sigma*kappa(chi)*z0 = -kappa*omega0, the
-    naive carrier-tracking correction.
+    naive carrier-tracking correction.  chi^2 - 1 is formed from chi, so
+    near chi = 1 it keeps only ~2e-16/|chi - 1| relative precision; the CLI
+    forms it from `redshift_delta` instead.
     """
     if sigma <= 0.0:
         raise ValidityError(f"sigma must be positive, got {sigma:g}")

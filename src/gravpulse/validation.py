@@ -181,18 +181,13 @@ def check_relative_change_consistency() -> tuple[float, float]:
     forms where double precision can resolve it directly."""
     d1 = 1e-2
     worst = 0.0
-    eta = analytic.relative_change(analytic.OverlapFamily.GAUSSIAN_LINEAR,
-                                   analytic.NearEarthParams(delta1=d1, phi_tilde=1.5))
+    eta = analytic.relative_change(profiles.gaussian_linear(1.5), d1)
     dp, dm, _ = analytic.gaussian_linear_optimal(1.0 + d1, 1.5)
     worst = max(worst, _rel(eta, dp / dm - 1.0))
-    eta = analytic.relative_change(
-        analytic.OverlapFamily.GAUSSIAN_QUADRATIC,
-        analytic.NearEarthParams(delta1=d1, phi_tilde=0.8, z0=5.0))
+    eta = analytic.relative_change(profiles.gaussian_quadratic(0.8, z0=5.0), d1)
     dp, dm, _ = analytic.gaussian_quadratic_optimal(1.0 + d1, 0.8, 5.0)
     worst = max(worst, _rel(eta, dp / dm - 1.0))
-    eta = analytic.relative_change(
-        analytic.OverlapFamily.COMB_LINEAR,
-        analytic.NearEarthParams(delta1=1e-3, phi_tilde=2.0, sigma_tilde=10.0, d_tilde=2.0))
+    eta = analytic.relative_change(profiles.comb(10.0, 2.0, phi_tilde=2.0), 1e-3)
     dp, dm, _ = analytic.comb_linear_near_earth_optimal(1e-3, 10.0, 2.0, 2.0)
     worst = max(worst, _rel(eta, dp / dm - 1.0))
     return worst, 1e-9
@@ -202,19 +197,15 @@ def check_comb_quadratic_weak_field_consistency() -> tuple[float, float]:
     """The phase-free limit of the quadratic-comb expansion must agree with
     the linear-comb form (theta-ratio route) for narrow tooth spacing."""
     d1, sig, d = 1e-3, 25.0, 0.4
-    params = analytic.NearEarthParams(delta1=d1, phi_tilde=1.0,
-                                      sigma_tilde=sig, d_tilde=d)
-    res = analytic.comb_quadratic_optimal(params)
+    res = analytic.comb_quadratic_optimal(profiles.comb(sig, d, 1.0, "quadratic"), d1)
     _, dm_lin, _ = analytic.comb_linear_near_earth_optimal(d1, sig, d, 0.0)
     return abs(res.delta_m_opt - dm_lin), 1e-6
 
 
 def check_relative_change_headline() -> tuple[float, float]:
     d1 = 1e-3
-    pg = analytic.NearEarthParams(delta1=d1, phi_tilde=1.0)
-    eta_ga = analytic.relative_change(analytic.OverlapFamily.GAUSSIAN_LINEAR, pg)
-    pc = analytic.NearEarthParams(delta1=d1, phi_tilde=1.0, sigma_tilde=10.0, d_tilde=6.0)
-    eta_co = analytic.relative_change(analytic.OverlapFamily.COMB_LINEAR, pc)
+    eta_ga = analytic.relative_change(profiles.gaussian_linear(1.0), d1)
+    eta_co = analytic.relative_change(profiles.comb(10.0, 6.0, phi_tilde=1.0), d1)
     worst = max(_rel(eta_ga, -2.0 * d1**2),
                 _rel(eta_co, -2.0 * d1**2 / 100.0))
     return worst, 1e-2

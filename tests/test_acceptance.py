@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from gravpulse import analytic, validation
-from gravpulse.analytic import (NearEarthParams, OverlapFamily,
-                                comb_linear_near_earth_optimal,
+from gravpulse.analytic import (comb_linear_near_earth_optimal,
                                 gaussian_linear_near_earth,
                                 gaussian_linear_optimal,
                                 gaussian_quadratic_coefficients,
@@ -215,15 +214,12 @@ def test_criterion_09_multiphoton_laws():
 
 def test_criterion_10_relative_change_headline():
     d1 = 1e-3
-    eta_ga = relative_change(OverlapFamily.GAUSSIAN_LINEAR,
-                             NearEarthParams(delta1=d1, phi_tilde=1.0))
+    eta_ga = relative_change(gaussian_linear(1.0), d1)
     rel_ga = abs(eta_ga - (-2.0 * d1**2)) / (2.0 * d1**2)
     # The 1/sigma^2 comb suppression requires well-separated teeth (the
     # tooth-dephasing term dies off exponentially in the spacing); d=6
     # satisfies that while meeting the comb preconditions.
-    eta_co = relative_change(
-        OverlapFamily.COMB_LINEAR,
-        NearEarthParams(delta1=d1, phi_tilde=1.0, sigma_tilde=10.0, d_tilde=6.0))
+    eta_co = relative_change(comb(10.0, 6.0, phi_tilde=1.0), d1)
     rel_co = abs(eta_co - (-2.0 * d1**2 / 100.0)) / (2.0 * d1**2 / 100.0)
     assert rel_ga < 1e-2
     assert rel_co < 1e-2
@@ -285,13 +281,13 @@ def test_criterion_12_mutation_sensitivity(monkeypatch):
     mutations.append(("comb_linear_near_earth_optimal", mutated_comb))
 
     orig_rc = analytic.relative_change
-    def mutated_rc(kind, params):
-        return orig_rc(kind, params) * (1.0 + 1e-3)
+    def mutated_rc(profile, d1):
+        return orig_rc(profile, d1) * (1.0 + 1e-3)
     mutations.append(("relative_change", mutated_rc))
 
     orig_cq = analytic.comb_quadratic_optimal
-    def mutated_cq(params, **kw):
-        res = orig_cq(params, **kw)
+    def mutated_cq(profile, d1):
+        res = orig_cq(profile, d1)
         return analytic.CombQuadraticResult(
             res.delta_p_opt, res.delta_m_opt * (1.0 + 1e-3),
             res.z_bar_opt, res.case_tag, res.zeta)

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from gravpulse.analytic import (NearEarthParams, OverlapFamily,
-                                comb_linear_near_earth_optimal,
+from gravpulse import analytic
+from gravpulse.analytic import (comb_linear_near_earth_optimal,
                                 comb_quadratic_optimal, estimate_zeta,
                                 gaussian_linear_closed, gaussian_linear_lambda,
                                 gaussian_linear_near_earth,
@@ -15,6 +15,7 @@ from gravpulse.analytic import (NearEarthParams, OverlapFamily,
                                 gaussian_quadratic_optimal, relative_change,
                                 weak_field_coefficients, weak_field_optimum)
 from gravpulse.errors import ValidityError
+from gravpulse.optimize import OptimizationResult, maximize_shift
 from gravpulse.overlap import evaluate_overlap, lambda_pure
 from gravpulse.profiles import comb, gaussian_linear, gaussian_quadratic
 from gravpulse.validation import numeric_weak_field_coefficients
@@ -175,11 +176,14 @@ def test_estimate_zeta():
         estimate_zeta(0.5)
 
 
-def test_comb_quadratic_cases():
-    base = dict(delta1=1e-3, sigma_tilde=25.0, d_tilde=0.4)
+def _cq(phi, delta_z0, delta1=1e-3):
+    return comb_quadratic_optimal(comb(25.0, 0.4, phi, "quadratic", delta_z0), delta1)
+
+
+def test_comb_quadratic_cases(monkeypatch):
     # case i: independent of delta_z0
-    r1 = comb_quadratic_optimal(NearEarthParams(phi_tilde=1.0, delta_z0=0.0, **base))
-    r2 = comb_quadratic_optimal(NearEarthParams(phi_tilde=1.0, delta_z0=0.5, **base))
+    r1 = _cq(1.0, 0.0)
+    r2 = _cq(1.0, 0.5)
     assert r1.case_tag == r2.case_tag == "i"
     assert r1.delta_p_opt == r2.delta_p_opt
     expected = 1.0 - 1e-6 - 0.5 * 625.0 * 1e-6
@@ -187,18 +191,17 @@ def test_comb_quadratic_cases():
     assert r1.delta_m_opt == r1.delta_p_opt
 
     # case ii.i: pure state gains 16 phi^4/sigma^2 * d1^2 over the mixed one
-    r3 = comb_quadratic_optimal(NearEarthParams(phi_tilde=10.0, delta_z0=0.0, **base))
+    r3 = _cq(10.0, 0.0)
     assert r3.case_tag == "ii.i"
     gain = 16.0 * 10.0**4 / 625.0 * 1e-6
     assert r3.delta_p_opt - r3.delta_m_opt == pytest.approx(gain, rel=1e-12)
 
     # case ii.ii reduces to ii.i as delta_z0 -> nu*d1^2
-    r4 = comb_quadratic_optimal(NearEarthParams(phi_tilde=10.0, delta_z0=1.0, **base))
+    r4 = _cq(10.0, 1.0)
     assert r4.case_tag == "ii.ii"
-    r5 = comb_quadratic_optimal(
-        NearEarthParams(phi_tilde=10.0, delta_z0=1.0, **base), dz0_factor=0.0)
-    r6 = comb_quadratic_optimal(
-        NearEarthParams(phi_tilde=10.0, delta_z0=2e-6, **base), dz0_factor=0.0)
+    monkeypatch.setattr(analytic, "DELTA_Z0_SMALL_FACTOR", 0.0)
+    r5 = _cq(10.0, 1.0)
+    r6 = _cq(10.0, 2e-6)
     assert r6.case_tag == "ii.ii"
     # the residual delta_z0^2 correction is O(d1^6 * nu^2), far below the
     # O(d1^2) terms the case formulas keep
@@ -207,52 +210,43 @@ def test_comb_quadratic_cases():
 
 
 def test_comb_quadratic_shift_formula():
-    p = NearEarthParams(delta1=1e-3, phi_tilde=10.0, delta_z0=0.5,
-                        sigma_tilde=25.0, d_tilde=0.4, zeta=1.0)
-    r = comb_quadratic_optimal(p)
-    big_sigma = 625.0 / (16.0 * 1.0 * 0.16 * 100.0)
+    r = _cq(10.0, 0.5)
+    zeta = estimate_zeta(0.5 * 0.16 * (1.0 + 625.0e-6 - 32.0e-6 * 1e4 / 625.0))
+    assert r.zeta == pytest.approx(zeta, rel=1e-12)
+    big_sigma = 625.0 / (16.0 * zeta * 0.16 * 100.0)
     expected = 8.0 * 100.0 * (0.5 - 4e-6) * 1e-3 / (1.0 + big_sigma)
     assert r.z_bar_opt == pytest.approx(expected, rel=1e-12)
 
 
 def test_comb_quadratic_validity():
     with pytest.raises(ValidityError):
-        comb_quadratic_optimal(NearEarthParams(delta1=0.1, phi_tilde=10.0,
-                                               sigma_tilde=25.0, d_tilde=0.4))
+        _cq(10.0, 0.0, delta1=0.1)
 
 
 def test_relative_change_values():
     d1 = 1e-3
-    assert relative_change(OverlapFamily.GAUSSIAN_LINEAR,
-                           NearEarthParams(delta1=d1, phi_tilde=0.0)) == 0.0
-    eta = relative_change(OverlapFamily.GAUSSIAN_LINEAR,
-                          NearEarthParams(delta1=d1, phi_tilde=1.0))
+    assert relative_change(gaussian_linear(0.0), d1) == 0.0
+    eta = relative_change(gaussian_linear(1.0), d1)
     assert eta == pytest.approx(-2e-6, rel=5e-3)
-    eta_c = relative_change(
-        OverlapFamily.COMB_LINEAR,
-        NearEarthParams(delta1=d1, phi_tilde=1.0, sigma_tilde=10.0, d_tilde=6.0))
+    eta_c = relative_change(comb(10.0, 6.0, phi_tilde=1.0), d1)
     assert eta_c == pytest.approx(-2e-8, rel=1e-2)
     # eta <= 0 for the linear-phase families
-    for fam, kw in ((OverlapFamily.GAUSSIAN_LINEAR, {}),
-                    (OverlapFamily.COMB_LINEAR, dict(sigma_tilde=12.0, d_tilde=1.0))):
-        for phi in (0.5, 2.0):
-            assert relative_change(fam, NearEarthParams(delta1=d1, phi_tilde=phi, **kw)) <= 0.0
+    for phi in (0.5, 2.0):
+        assert relative_change(gaussian_linear(phi), d1) <= 0.0
+        assert relative_change(comb(12.0, 1.0, phi_tilde=phi), d1) <= 0.0
 
 
 def test_relative_change_quadratic_matches_exact_ratio():
     d1, phi, z0 = 1e-3, 0.8, 30.0
-    eta = relative_change(OverlapFamily.GAUSSIAN_QUADRATIC,
-                          NearEarthParams(delta1=d1, phi_tilde=phi, z0=z0))
+    eta = relative_change(gaussian_quadratic(phi, z0=z0), d1)
     dp, dm, _ = gaussian_quadratic_optimal(1.0 + d1, phi, z0)
     assert eta == pytest.approx(dp / dm - 1.0, rel=1e-9)
 
 
 def test_relative_change_survives_tiny_delta():
-    eta = relative_change(OverlapFamily.GAUSSIAN_LINEAR,
-                          NearEarthParams(delta1=1.74e-10, phi_tilde=1.0))
+    eta = relative_change(gaussian_linear(1.0), 1.74e-10)
     assert eta == pytest.approx(-2.0 * (1.74e-10) ** 2, rel=1e-6, abs=0.0)
-    eta_q = relative_change(OverlapFamily.GAUSSIAN_QUADRATIC,
-                            NearEarthParams(delta1=1e-10, phi_tilde=1.0, z0=100.0))
+    eta_q = relative_change(gaussian_quadratic(1.0, z0=100.0), 1e-10)
     coeff = 16.0 + 8.0 * 100.0**2 / 17.0
     assert eta_q == pytest.approx(-coeff * 1e-20, rel=1e-5, abs=0.0)
 
@@ -260,8 +254,7 @@ def test_relative_change_survives_tiny_delta():
 def test_relative_change_comb_quadratic_survives_tiny_delta():
     # eta/delta1^2 = -(c_p - c_m) from the numeric Richardson fit, while both
     # overlaps round to 1 in double precision.
-    params = NearEarthParams(delta1=1e-10, phi_tilde=3.0, sigma_tilde=20.0, d_tilde=0.5)
-    eta = relative_change(OverlapFamily.COMB_QUADRATIC, params)
+    eta = relative_change(comb(20.0, 0.5, 3.0, "quadratic"), 1e-10)
     ref = numeric_weak_field_coefficients(comb(20.0, 0.5, 3.0, "quadratic"))
     assert eta < 0.0
     assert eta / 1e-20 == pytest.approx(-(ref.c_p - ref.c_m), rel=1e-4)
@@ -269,8 +262,7 @@ def test_relative_change_comb_quadratic_survives_tiny_delta():
 
 def test_comb_quadratic_subnormal_phi_is_unshifted():
     # phi*phi underflows to 0: no shift, rather than a division by zero.
-    res = comb_quadratic_optimal(NearEarthParams(delta1=1e-10, phi_tilde=5e-324,
-                                                 sigma_tilde=20.0, d_tilde=0.5))
+    res = comb_quadratic_optimal(comb(20.0, 0.5, 5e-324, "quadratic"), 1e-10)
     assert res.z_bar_opt == 0.0 and res.case_tag == "i"
 
 
@@ -284,3 +276,12 @@ def test_weak_field_coefficients_reproduce_gaussian_closed_forms():
         assert c.z_rate == pytest.approx(-32.0 * a1 / a2 / 1e-8, rel=1e-7)
     # an unshifted profile reports +0.0, not -0.0, at negative delta1
     assert math.copysign(1.0, weak_field_optimum(gaussian_linear(1.5), -1e-10).z_bar_opt) == 1.0
+
+
+def test_weak_field_optimum_is_the_optimizer_record():
+    res = weak_field_optimum(gaussian_quadratic(1.5, z0=20.0), 1e-10)
+    assert isinstance(res, OptimizationResult)
+    assert (res.path, res.z_bar_m_opt, res.n_evals, res.converged) == ("weak-field", 0.0, 0,
+                                                                       True)
+    assert res.z_bar_opt != 0.0 and res.eta < 0.0
+    assert maximize_shift(gaussian_linear(1.0), 1.05).path == "numeric"

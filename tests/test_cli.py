@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gravpulse.analytic import NearEarthParams, relative_change
+from gravpulse.analytic import relative_change
 from gravpulse.cli import CSV_HEADER, main
 from gravpulse.optimize import SCAN_POINTS
 from gravpulse.profiles import ProfileKind
 from gravpulse.scenario import parse_scenario
-from gravpulse.spacetime import delta_expansion
+from gravpulse.spacetime import classical_redshift, delta_expansion, kappa
 from gravpulse.validation import numeric_weak_field_coefficients
 
 DESK = """
@@ -304,8 +304,7 @@ def test_optimize_matches_one_row_sweep(config, phi, path):
         _assert_matches_numeric(p, d1, float(vals["eta"]), float(vals["z_bar_opt"]))
         return
     # The exact-at-chi Gaussian ratio differs from the second-order one by O(delta1).
-    params = NearEarthParams(delta1=d1, phi_tilde=phi, z0=p.z0)
-    eta = relative_change(p.kind, params)
+    eta = relative_change(p, d1)
     assert eta != 0.0
     assert float(vals["eta"]) == pytest.approx(eta, rel=1e-8, abs=0.0)
 
@@ -318,6 +317,80 @@ def test_optimize_earth_presets_print_no_overlap_above_one(preset, capsys):
     assert len(overlaps) == 3
     assert max(overlaps) <= 1.0
     assert err == ""
+
+
+@pytest.mark.parametrize("preset", ["earth-leo", "earth-geo", "earth-surface-lab"])
+def test_delta_omega_at_zero_shift_is_carrier_shift(preset):
+    # z_bar_opt = 0, so delta_omega_opt is -kappa*omega0, which `redshift`
+    # prints from the cancellation-free kappa_from_delta.
+    rc, out, _ = _call(["optimize", "--preset", preset])
+    rc_r, out_r, _ = _call(["redshift", "--preset", preset])
+    assert rc == rc_r == 0
+    vals, ref = _values(out), _values(out_r)
+    assert float(vals["z_bar_opt"]) == 0.0
+    assert float(vals["delta_omega_opt"]) == pytest.approx(-float(ref["kappa*omega0"]),
+                                                           rel=1e-12, abs=0.0)
+
+
+def test_weak_field_delta_omega_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    config = _leo("gaussian_quadratic", 1.5)
+    _, (rc, out, _) = _optimize_and_sweep_row(config, 1.5)
+    assert rc == 0
+    row = out.splitlines()[1].split(",")
+    z_bar, domega = float(row[3]), float(row[4])
+    assert z_bar != 0.0
+    with mpmath.workdps(50):
+        r_a, r_b, r_s = (mpmath.mpf(x) for x in (6.371e6, 6.771e6, 8.87e-3))
+        chi2 = mpmath.sqrt((1 - mpmath.mpf(1.5) * r_s / r_b) / (1 - r_s / r_a))
+        sigma, z0 = mpmath.mpf(1e9), mpmath.mpf(1.215e15) / mpmath.mpf(1e9)
+        ref = float(sigma / chi2 * (mpmath.mpf(z_bar) - (chi2 - 1) * z0))
+    assert domega == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_delta_omega_fills_from_frame():
+    # Numeric path under a bare chi: z_bar_opt ~ 0, so delta_omega_opt is
+    # the rigid carrier shift -kappa*omega0 of the scenario's frame.
+    config = DESK.replace("profile.z0 = 0\n", "")
+    (rc, out, _), _ = _optimize_and_sweep_row(config, 2.0)
+    assert rc == 0
+    vals = _values(out)
+    assert vals["path"] == "numeric"
+    chi, z_bar = float(vals["chi"]), float(vals["z_bar_opt"])
+    domega = float(vals["delta_omega_opt"])
+    assert domega == pytest.approx(classical_redshift(z_bar, chi, 1e9, 1.215e6), rel=1e-12)
+    assert domega == pytest.approx(-kappa(chi) * 1.215e15, rel=1e-6)
+
+
+@pytest.mark.parametrize("fail_at, rows_written", [(1, 0), (3, 2)])
+def test_sweep_streams_rows_until_a_failure(fail_at, rows_written, tmp_path, monkeypatch,
+                                            capsys):
+    from gravpulse import cli
+    from gravpulse.errors import NonConvergenceError
+
+    row = cli._sweep_row
+    calls = []
+
+    def failing_row(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise NonConvergenceError("row stalled")
+        return row(*args)
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(_leo("gaussian_linear", 1.0) + "sweep.param = profile.phi_tilde\n"
+                   "sweep.start = 0\nsweep.stop = 4\nsweep.count = 5\n")
+    monkeypatch.setattr(cli, "_sweep_row", failing_row)
+    assert main(["sweep", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert len(calls) == fail_at
+    lines = out.splitlines()
+    if rows_written == 0:
+        assert out == ""
+    else:
+        assert lines[0] == CSV_HEADER and len(lines) == 1 + rows_written
+        assert [float(l.split(",")[0]) for l in lines[1:]] == [0.0, 1.0]
+    assert err.startswith("numerical error: row stalled")
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep"])

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +8,7 @@ from gravpulse.optimize import (SCAN_POINTS, FlatObjectiveWarning, maximize_shif
                                 naive_corrected_overlap)
 from gravpulse import optimize, overlap
 from gravpulse.overlap import CHUNK_BYTES, overlap_batch, overlap_mixed, overlap_pure
-from gravpulse.profiles import DimensionfulFrame, comb, gaussian_linear, gaussian_quadratic
-from gravpulse.spacetime import classical_redshift, kappa
+from gravpulse.profiles import comb, gaussian_linear, gaussian_quadratic
 
 
 def test_gaussian_linear_optimum_at_zero():
@@ -80,19 +78,6 @@ def test_comb_objective_multimodal_global_max():
     assert abs(res.z_bar_m_opt) < 1e-6
     side = overlap_mixed(prof, chi, prof.d_tilde * chi)
     assert side < res.delta_m_opt
-
-
-def test_delta_omega_fills_from_frame():
-    frame = DimensionfulFrame(omega0=1.215e15, sigma=1.0e9)
-    prof = gaussian_linear(1.0, z0=frame.z0)
-    chi = 1.05
-    res = maximize_shift(prof, chi, frame=frame)
-    expected = classical_redshift(res.z_bar_opt, chi, frame.sigma, frame.z0)
-    assert res.delta_omega_opt == expected
-    # z_bar_opt ~ 0 so the classical redshift is the rigid carrier shift
-    assert res.delta_omega_opt == pytest.approx(-kappa(chi) * frame.omega0, rel=1e-6)
-    no_frame = maximize_shift(prof, 1.03)
-    assert math.isnan(no_frame.delta_omega_opt)
 
 
 def test_eval_counter_positive():

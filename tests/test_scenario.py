@@ -61,8 +61,9 @@ sweep.count = 31
     assert sc.profile.kind is ProfileKind.COMB_LINEAR
     assert sc.photons.kind is PhotonKind.COHERENT
     assert sc.sweep.count == 31
-    assert len(sc.sweep.values()) == 31
-    assert sc.sweep.values()[0] == 0.0 and sc.sweep.values()[-1] == 3.0
+    vals = list(sc.sweep.values())
+    assert len(vals) == 31
+    assert vals[0] == 0.0 and vals[-1] == 3.0
 
 
 def test_roundtrip_dump_parse():
@@ -94,7 +95,7 @@ sweep.scale = log
 """
     sc = parse_scenario(text)
     assert parse_scenario(dump_scenario(sc)) == sc
-    vals = sc.sweep.values()
+    vals = list(sc.sweep.values())
     assert vals[0] == pytest.approx(1.0) and vals[-1] == pytest.approx(1000.0)
     assert vals[1] / vals[0] == pytest.approx(10.0)
 
