@@ -281,7 +281,7 @@ def test_weak_field_coefficients_reproduce_gaussian_closed_forms():
 def test_weak_field_optimum_is_the_optimizer_record():
     res = weak_field_optimum(gaussian_quadratic(1.5, z0=20.0), 1e-10)
     assert isinstance(res, OptimizationResult)
-    assert (res.path, res.z_bar_m_opt, res.n_evals, res.converged) == ("weak-field", 0.0, 0,
-                                                                       True)
+    assert res.path == "weak-field" and res.z_bar_m_opt == 0.0
+    assert res.n_evals == 0 and res.converged
     assert res.z_bar_opt != 0.0 and res.eta < 0.0
     assert maximize_shift(gaussian_linear(1.0), 1.05).path == "numeric"
