@@ -34,8 +34,8 @@ def main() -> int:
     print("n,fock,coherent,squeezed")
     for n in np.unique(np.logspace(0, 5, 16).astype(int)):
         fo = fock_overlap(abs(lam), int(n))
-        co, _ = coherent_overlap(lam, float(n), dm)
-        sq, _ = squeezed_overlap(lam, float(n), dm)
+        co = coherent_overlap(lam, float(n))
+        sq = squeezed_overlap(lam, float(n))
         print(f"{n},{fo:.10e},{co:.10e},{sq:.10e}")
     return 0
 

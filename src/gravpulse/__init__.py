@@ -32,7 +32,7 @@ from .scenario import (Scenario, SweepSpec, dump_scenario, load_preset,
 from .spacetime import (EARTH_RADIUS_M, EARTH_SCHWARZSCHILD_RADIUS_M,
                         RedshiftFactor, SpacetimeConfig, classical_redshift,
                         delta_expansion, delta_near_limit, kappa,
-                        kappa_from_delta, redshift_delta, redshift_factor)
+                        kappa_from_delta, redshift_factor)
 from .states import (DiscreteState, FrequencyGrid, StateKind, apply_redshift,
                      fidelity, mixed_state, pure_state, purity,
                      sharp_frequency_diagonal_trace)

@@ -80,7 +80,6 @@ import numpy as np
 
 from .errors import ValidityError
 from .optimize import OptimizationResult
-from .overlap import node_spacing
 from .profiles import Profile, ProfileKind, jacobi_theta3, modulus, phase_slope
 
 __all__ = [
@@ -209,14 +208,15 @@ def gaussian_quadratic_near_earth(delta1: float, phi_tilde: float,
 # -- frequency comb ------------------------------------------------------------
 
 
-def _theta_mean_square_index(q: float, tol: float = 1e-16) -> float:
-    """<n^2> under tooth weights q^(n^2), n over all integers."""
+def _theta_mean_square_index(q: float) -> float:
+    """<n^2> under tooth weights q^(n^2), n over all integers; the series
+    stops at the first term below 1e-16."""
     num = 0.0
     n = 1
     while True:
         term = 2.0 * n * n * q ** (n * n)
         num += term
-        if term < tol:
+        if term < 1e-16:
             break
         n += 1
     return num / jacobi_theta3(q)
@@ -245,9 +245,10 @@ def comb_linear_near_earth_optimal(delta1: float, sigma_tilde: float,
     return dp, dm, 0.0
 
 
-def estimate_zeta(x: float, tol: float = 1e-16) -> float:
+def estimate_zeta(x: float) -> float:
     """zeta(x) = x * sum_{n>=1} cosh(n*x)**-2, the order-unity constant of
-    the quadratic-phase comb optimization.
+    the quadratic-phase comb optimization; the sum stops at the first term
+    below 1e-16.
 
     The integral comparison sum ~ integral cosh(t)**-2 dt / x = 1/x predicts
     zeta -> 1 as x -> 0.  Valid for 0 < x <= 0.3.
@@ -259,7 +260,7 @@ def estimate_zeta(x: float, tol: float = 1e-16) -> float:
     while True:
         term = math.cosh(n * x) ** -2
         total += term
-        if term < tol:
+        if term < 1e-16:
             break
         n += 1
     return x * total
@@ -423,7 +424,7 @@ def _envelope_moments(is_comb: bool, sigma_tilde: float, d_tilde: float,
     kind = ProfileKind.COMB_LINEAR if is_comb else ProfileKind.GAUSSIAN_LINEAR
     env = Profile(kind, sigma_tilde=sigma_tilde, d_tilde=d_tilde, n_max=n_max)
     half = env.z_extent
-    z, h = np.linspace(-half, half, int(math.ceil(2.0 * half / node_spacing(env))) + 1,
+    z, h = np.linspace(-half, half, int(math.ceil(2.0 * half / env.node_spacing)) + 1,
                        retstep=True)
     f = modulus(env, z)
     k = 2.0 * math.pi * np.fft.rfftfreq(z.size, h)

@@ -23,7 +23,7 @@ from .optimize import FlatObjectiveWarning, OptimizationResult, maximize_shift
 from .overlap import OverlapResult, evaluate_overlap
 from .profiles import Profile, ProfileKind
 from .scenario import Scenario, dump_scenario, load_preset, parse_scenario, preset_names
-from .spacetime import RedshiftFactor, kappa_from_delta, redshift_delta, redshift_factor
+from .spacetime import RedshiftFactor, kappa_from_delta
 from .states import FrequencyGrid, apply_redshift, fidelity, mixed_state, pure_state, purity
 
 __all__ = ["main"]
@@ -109,45 +109,29 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return sc
 
 
-def _chi_and_deltas(sc: Scenario) -> tuple[float, float, float]:
-    """(chi, delta1, delta2); the deltas are NaN under a bare chi override.
-
-    The expansion-validity ratio is relaxed to 5e-2 here (vs the strict
-    library default) so pedagogically exaggerated geometries still report;
-    the printed series residual quantifies any loss of accuracy.
-    """
+def _redshift(sc: Scenario) -> RedshiftFactor:
+    """The one redshift record of a command or sweep row: from the geometry,
+    or (chi, chi - 1, NaN, NaN) under a bare chi override."""
     if sc.spacetime is not None:
-        rf = RedshiftFactor.from_config(sc.spacetime, max_ratio=5e-2)
-        return rf.chi, rf.delta1, rf.delta2
-    return sc.chi_override, float("nan"), float("nan")
-
-
-def _delta(sc: Scenario) -> float:
-    """chi - 1 to full relative precision, which the rounded chi lacks."""
-    return redshift_delta(sc.spacetime) if sc.spacetime is not None else sc.chi_override - 1.0
+        return RedshiftFactor.from_config(sc.spacetime)
+    return RedshiftFactor(sc.chi_override, sc.chi_override - 1.0, math.nan, math.nan)
 
 
 def cmd_redshift(sc: Scenario, out) -> int:
-    chi, d1, d2 = _chi_and_deltas(sc)
-    if sc.spacetime is not None:
-        chi_exact = redshift_factor(sc.spacetime)
-        kap = kappa_from_delta(d1 + d2)
-    else:
-        chi_exact = chi
-        kap = kappa_from_delta(_delta(sc))
-    omega0 = sc.frame.omega0
-    print(f"chi = {_fmt(chi_exact)}", file=out)
-    print(f"delta1 = {_fmt(d1)}", file=out)
-    print(f"delta2 = {_fmt(d2)}", file=out)
+    rf = _redshift(sc)
+    kap = kappa_from_delta(rf.delta)
+    print(f"chi = {_fmt(rf.chi)}", file=out)
+    print(f"delta1 = {_fmt(rf.delta1)}", file=out)
+    print(f"delta2 = {_fmt(rf.delta2)}", file=out)
     print(f"kappa = {_fmt(kap)}", file=out)
-    print(f"kappa*omega0 = {_fmt(kap * omega0)} rad/s", file=out)
+    print(f"kappa*omega0 = {_fmt(kap * sc.frame.omega0)} rad/s", file=out)
     print(f"series residual chi - (1 + delta1 + delta2) = "
-          f"{_fmt(chi_exact - (1.0 + d1 + d2))}", file=out)
+          f"{_fmt(rf.chi - (1.0 + rf.delta1 + rf.delta2))}", file=out)
     return EXIT_OK
 
 
 def cmd_overlap(sc: Scenario, z_bar: float, tol: float, out) -> int:
-    chi, _, _ = _chi_and_deltas(sc)
+    chi = _redshift(sc).chi
     res = evaluate_overlap(sc.profile, chi, z_bar, tol=tol)
     print(f"chi = {_fmt(chi)}", file=out)
     print(f"z_bar = {_fmt(z_bar)}", file=out)
@@ -168,7 +152,7 @@ def _photon_delta_p(photons: PhotonStatistics, res: OverlapResult) -> float:
     if photons.kind is PhotonKind.FOCK:
         return fock_overlap(res.delta_p, int(photons.n_mean))
     law = coherent_overlap if photons.kind is PhotonKind.COHERENT else squeezed_overlap
-    return law(res.lambda_p, photons.n_mean, res.delta_m)[0]
+    return law(res.lambda_p, photons.n_mean)
 
 
 def _analytic_prediction(prof: Profile, chi: float) -> tuple[float, float, float] | None:
@@ -186,7 +170,8 @@ def _optimum(sc: Scenario, tol: float
     from the numeric optimizer otherwise, whose flat-scan warning, if any,
     is returned.  delta_omega_opt = (sigma/chi^2)*(z_bar_opt - (chi^2 - 1)*z0)
     in rad/s, with chi^2 - 1 formed from the exact chi - 1."""
-    chi, d1, _ = _chi_and_deltas(sc)
+    rf = _redshift(sc)
+    chi, d1, delta = rf.chi, rf.delta1, rf.delta
     warning = None
     if abs(d1) < ANALYTIC_FALLBACK_DELTA1:        # NaN (bare chi) compares false
         res = analytic.weak_field_optimum(sc.profile, d1)
@@ -197,7 +182,6 @@ def _optimum(sc: Scenario, tol: float
         flat = [str(w.message) for w in caught
                 if issubclass(w.category, FlatObjectiveWarning)]
         warning = flat[0] if flat else None
-    delta = _delta(sc)
     domega = (sc.frame.sigma / (chi * chi)) * (res.z_bar_opt
                                                - delta * (2.0 + delta) * sc.profile.z0)
     return chi, d1, domega, res, warning
@@ -227,7 +211,8 @@ def cmd_optimize(sc: Scenario, tol: float, out) -> int:
 
 def _sweep_row(sc: Scenario, value: float, tol: float) -> str:
     if sc.photons is not None and sc.sweep.param == "photons.n_mean":
-        chi, d1, _ = _chi_and_deltas(sc)
+        rf = _redshift(sc)
+        chi, d1 = rf.chi, rf.delta1
         base = evaluate_overlap(sc.profile, chi, 0.0, tol=tol)
         dp = _photon_delta_p(sc.photons, base)
         dm = base.delta_m
@@ -263,7 +248,7 @@ def cmd_purity(sc: Scenario, n_bins: int, out) -> int:
             f"--bins {n_bins} needs ~{need / 2**20:.0f} MiB, above the "
             f"{MAX_PURITY_BYTES // 2**20} MiB cap "
             f"(at most {MAX_PURITY_BYTES // PURITY_BYTES_PER_BIN} bins)")
-    chi, _, _ = _chi_and_deltas(sc)
+    chi = _redshift(sc).chi
     grid = FrequencyGrid.centered(n_bins, 20.0 / n_bins)
     print(f"chi = {_fmt(chi)}", file=out)
     print(f"grid: {n_bins} bins, lam = {_fmt(grid.lam)}", file=out)

@@ -1,9 +1,9 @@
 """Multi-photon overlaps composed from the optimized single-photon results.
 
 All three laws take the complex single-photon pure overlap (or its
-modulus) evaluated at the optimal rigid shift.  The mixed-state overlap is
-N-independent for coherent and squeezed wavepackets, so it is passed
-through unchanged.
+modulus) evaluated at the optimal rigid shift and return the N-photon pure
+overlap Delta_p.  The mixed-state overlap is N-independent for coherent and
+squeezed wavepackets, so the single-photon Delta_m serves unchanged.
 """
 
 from __future__ import annotations
@@ -63,23 +63,20 @@ def _check_lambda(lambda_single: complex) -> complex:
     return lam
 
 
-def coherent_overlap(lambda_single: complex, n_mean: float,
-                     delta_m_single: float = math.nan) -> tuple[float, float]:
-    """(Delta_p, Delta_m) for coherent wavepackets of mean photon number N.
+def coherent_overlap(lambda_single: complex, n_mean: float) -> float:
+    """Delta_p for coherent wavepackets of mean photon number N.
 
     Delta_p = exp(-(1 - Re(Lambda)) * N): exponential sensitivity gain over
-    the single photon.  Delta_m is the single-photon mixed overlap passed
-    through unchanged (NaN when not supplied).
+    the single photon.
     """
     lam = _check_lambda(lambda_single)
     if n_mean < 0.0:
         raise ValidityError(f"mean photon number must be >= 0, got {n_mean!r}")
-    return math.exp(-(1.0 - lam.real) * n_mean), delta_m_single
+    return math.exp(-(1.0 - lam.real) * n_mean)
 
 
-def squeezed_overlap(lambda_single: complex, n_mean: float,
-                     delta_m_single: float = math.nan) -> tuple[float, float]:
-    """(Delta_p, Delta_m) for single-mode squeezed wavepackets.
+def squeezed_overlap(lambda_single: complex, n_mean: float) -> float:
+    """Delta_p for single-mode squeezed wavepackets.
 
     Delta_p = [(1 + (1 - Re(Lambda))*N/2)^2 + (Im(Lambda))^2 * N^2/4]^(-1/2);
     for real Lambda this is (1 + (1 - Lambda)*N/2)^(-1), falling off only
@@ -90,7 +87,7 @@ def squeezed_overlap(lambda_single: complex, n_mean: float,
         raise ValidityError(f"mean photon number must be >= 0, got {n_mean!r}")
     re_term = 1.0 + 0.5 * (1.0 - lam.real) * n_mean
     im_term = 0.5 * lam.imag * n_mean
-    return (re_term * re_term + im_term * im_term) ** -0.5, delta_m_single
+    return (re_term * re_term + im_term * im_term) ** -0.5
 
 
 def squeezing_parameter(n_mean: float) -> float:

@@ -46,9 +46,10 @@ SCAN_HALF_WIDTH = 10.0     # envelope widths
 SCAN_POINTS = 201
 FLAT_SPREAD = 1e-13
 # Newton loop: stencil half-widths, the step below which the fine one
-# applies, and the iteration cap.
+# applies, the step length (z_bar units) that ends it, and the iteration cap.
 NEWTON_H = 1e-3
 NEWTON_H_FINE = 1e-4
+NEWTON_XTOL = 1e-10
 MAX_NEWTON_STEPS = 60
 
 
@@ -75,10 +76,8 @@ class OptimizationResult:
 
 
 def maximize_shift(profile: Profile, chi: float,
-                   window: float = SCAN_HALF_WIDTH,
-                   xtol: float = 1e-10,
                    quad_tol: float = 1e-12) -> OptimizationResult:
-    """Globally maximize Delta_p and Delta_m over z_bar in [-window, window].
+    """Globally maximize Delta_p and Delta_m over |z_bar| <= SCAN_HALF_WIDTH.
 
     Every objective value comes from `overlap_batch` at tolerance
     `quad_tol`, and one scan serves both objectives.  Grid-ties within
@@ -88,13 +87,13 @@ def maximize_shift(profile: Profile, chi: float,
     one FlatObjectiveWarning is emitted.
 
     Otherwise Newton steps on log(objective) refine the best grid point
-    within its neighbouring grid points.  `xtol` is a step length in z_bar
-    units: the loop stops once a step is shorter, once a Newton step is no
-    shorter than the Newton step before it (rounding noise), or after
-    MAX_NEWTON_STEPS steps.  `converged` reports whether both objectives'
-    slopes at their returned z_bar are below 1e-5.  The record's path is
-    "numeric"; the classical redshift is left to the caller, which knows
-    chi - 1 more precisely than chi does.
+    within its neighbouring grid points.  The loop stops once a step is
+    shorter than NEWTON_XTOL, once a Newton step is no shorter than the
+    Newton step before it (rounding noise), or after MAX_NEWTON_STEPS steps.
+    `converged` reports whether both objectives' slopes at their returned
+    z_bar are below 1e-5.  The record's path is "numeric"; the classical
+    redshift is left to the caller, which knows chi - 1 more precisely than
+    chi does.
     """
     if not (chi > 0.0 and math.isfinite(chi)):
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
@@ -109,13 +108,13 @@ def maximize_shift(profile: Profile, chi: float,
     n_points = SCAN_POINTS
     if profile.kind.is_comb:
         # multimodal objective with period ~ d_tilde*chi: pitch < d_tilde/4
-        n_points = max(n_points, int(math.ceil(8.0 * window / profile.d_tilde)) + 1)
-    grid = np.linspace(-window, window, n_points)
+        n_points = max(n_points, int(math.ceil(8.0 * SCAN_HALF_WIDTH / profile.d_tilde)) + 1)
+    grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, n_points)
     # The last shift, z_bar = 0, gives the naive overlap and the flat result.
     lam, dm = ev(np.append(grid, 0.0))
     at_zero = (0.0, lam[-1], dm[-1], True)
-    pure = _maximize(ev, lambda lam, dm: np.abs(lam), grid, lam, dm, xtol)
-    mixed = _maximize(ev, lambda lam, dm: dm, grid, lam, dm, xtol)
+    pure = _maximize(ev, lambda lam, dm: np.abs(lam), grid, lam, dm)
+    mixed = _maximize(ev, lambda lam, dm: dm, grid, lam, dm)
     if pure is None or mixed is None:
         # No variation at all, or the deformation 1 - Delta_opt sits below
         # double-precision resolution: chi is too close to 1 for the numeric
@@ -133,8 +132,8 @@ def maximize_shift(profile: Profile, chi: float,
                               converged=converged_p and converged_m, path="numeric")
 
 
-def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray, dm: np.ndarray,
-              xtol: float) -> tuple[float, complex, float, bool] | None:
+def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray,
+              dm: np.ndarray) -> tuple[float, complex, float, bool] | None:
     """(z_bar, Lambda_p, Delta_m, converged) at the maximizer of
     objective(Lambda_p, Delta_m), refined from the scan values `lam`, `dm`
     on `grid` (plus one trailing shift left out); None when the scan shows
@@ -167,7 +166,7 @@ def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray, dm: np.ndarray,
             x_new = 0.5 * (lo + hi)
         step = abs(x_new - x)
         x = x_new
-        if step < xtol or (newton and step >= prev):
+        if step < NEWTON_XTOL or (newton and step >= prev):
             break
         prev = step if newton else math.inf
         if step < NEWTON_H_FINE:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, ValidityError
-from .profiles import Profile, comb_tooth_positions, modulus, phase_difference
+from .profiles import MAX_INTERVALS, Profile, comb_tooth_positions, modulus, phase_difference
 
 __all__ = [
     "OverlapResult",
@@ -41,7 +41,6 @@ __all__ = [
     "overlap_mixed",
     "evaluate_overlap",
     "overlap_batch",
-    "node_spacing",
     "overlap_multipeak",
     "DEFAULT_TOL",
     "CHUNK_BYTES",
@@ -53,9 +52,9 @@ _QUAD_LIMIT = 2**16
 
 # overlap_batch: shifts are processed in chunks whose (shift x node)
 # temporaries stay within CHUNK_BYTES; refinement past MAX_INTERVALS node
-# intervals raises NonConvergenceError.  One shift at the cap fits a chunk.
+# intervals (from profiles) raises NonConvergenceError.  One shift at the
+# cap fits a chunk.
 CHUNK_BYTES = 8 * 2**20
-MAX_INTERVALS = 2**17
 # float64 (shift x node) arrays alive at once while one chunk is summed.
 _TEMPS_PER_POINT = 6
 
@@ -68,8 +67,6 @@ class OverlapResult:
     delta_p: float
     delta_m: float
     lambda_p: complex
-    chi: float
-    z_bar: float
 
 
 def _integration_bounds(profile: Profile, chi: float, z_bar: float) -> tuple[float, float]:
@@ -201,8 +198,7 @@ def evaluate_overlap(profile: Profile, chi: float, z_bar: float,
     integrand evaluations."""
     re, im, dm = _point_integrals(profile, chi, z_bar, tol, ("re", "im", "mixed"))
     lam = complex(re, im)
-    return OverlapResult(delta_p=abs(lam), delta_m=dm, lambda_p=lam,
-                         chi=chi, z_bar=z_bar)
+    return OverlapResult(delta_p=abs(lam), delta_m=dm, lambda_p=lam)
 
 
 # -- fixed-node kernel ---------------------------------------------------------
@@ -231,7 +227,7 @@ def overlap_batch(profile: Profile, chi: float, z_bars,
     z_bars = np.atleast_1d(np.asarray(z_bars, dtype=float))
     _check_inputs(chi, tol, z_bars)
     half = profile.z_extent * max(chi, 1.0 / chi)
-    n = int(math.ceil(2.0 * half / node_spacing(profile)))
+    n = int(math.ceil(2.0 * half / profile.node_spacing))
     h = 2.0 * half / n
     # First level at which each shift's spacing resolves its phase rate.
     ratio = h * _phase_rate(profile, chi, z_bars, half) / math.pi
@@ -265,12 +261,6 @@ def overlap_batch(profile: Profile, chi: float, z_bars,
         dm[active] = new_dm
         active = active[(err > tol) | (level < start[active])]
     return lam, dm
-
-
-def node_spacing(profile: Profile) -> float:
-    """Coarsest trapezoid node spacing of `overlap_batch`: a quarter of the
-    tooth width for combs, a quarter of the envelope width otherwise."""
-    return 0.25 / profile.sigma_tilde if profile.kind.is_comb else 0.25
 
 
 def _phase_rate(profile: Profile, chi: float, z_bars: np.ndarray,

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _GAUSS_NORM = (2.0 * math.pi) ** -0.25
+MAX_RELATIVE_WIDTH = 1e-2    # narrowband bound on sigma/omega0
 
 # Comb construction preconditions: teeth must be well separated and much
 # narrower than the envelope, as the comb's weak-field expressions assume.
@@ -56,6 +57,11 @@ MIN_SIGMA_TILDE = 5.0
 
 # Envelope weight allowed to be dropped by the tooth-index truncation.
 _TRUNCATION_WEIGHT = 1e-14
+
+# Trapezoid intervals the overlap kernel may use over a profile's domain; a
+# comb whose coarsest kernel grid already needs more is refused at
+# construction, before its teeth are stored.
+MAX_INTERVALS = 2**17
 
 
 class ProfileKind(enum.Enum):
@@ -76,22 +82,22 @@ class DimensionfulFrame:
     """Carrier frequency and spectral width in rad/s.
 
     The narrowband condition sigma/omega0 << 1 underlies the extension of
-    overlap integrals to the whole real line; it is enforced here.
+    overlap integrals to the whole real line; it is enforced here as
+    sigma/omega0 < MAX_RELATIVE_WIDTH.
     """
 
     omega0: float
     sigma: float
-    max_relative_width: float = 1e-2
 
     def __post_init__(self):
         if not (self.omega0 > 0 and math.isfinite(self.omega0)):
             raise ValidityError(f"omega0 must be positive and finite, got {self.omega0!r}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValidityError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if self.sigma / self.omega0 >= self.max_relative_width:
+        if self.sigma / self.omega0 >= MAX_RELATIVE_WIDTH:
             raise ValidityError(
                 f"sigma/omega0 = {self.sigma / self.omega0:.3e} violates the "
-                f"narrowband condition (< {self.max_relative_width:g})")
+                f"narrowband condition (< {MAX_RELATIVE_WIDTH:g})")
 
     @property
     def z0(self) -> float:
@@ -123,6 +129,11 @@ class Profile:
                     f"{MIN_TOOTH_SEPARATION:g}; comb teeth are not well separated")
             if self.n_max < 1:
                 raise ValidityError("comb profiles need n_max >= 1")
+            intervals = 2.0 * self.z_extent / self.node_spacing
+            if intervals > MAX_INTERVALS:
+                raise ValidityError(
+                    f"comb needs {intervals:.3g} overlap-kernel intervals at its coarsest "
+                    f"spacing, above the {MAX_INTERVALS} cap (sigma_tilde or n_max too large)")
             # Truncation must actually reach the target dropped weight.
             dropped = math.exp(-0.5 * ((self.n_max + 1) * self.d_tilde) ** 2)
             if dropped > _TRUNCATION_WEIGHT:
@@ -140,6 +151,12 @@ class Profile:
         if not self.kind.is_comb:
             return 10.0
         return max(10.0, self.n_max * self.d_tilde + 10.0 / self.sigma_tilde + 10.0)
+
+    @property
+    def node_spacing(self) -> float:
+        """Coarsest trapezoid node spacing of `overlap.overlap_batch`: a
+        quarter of the tooth width for combs, of the envelope width otherwise."""
+        return 0.25 / self.sigma_tilde if self.kind.is_comb else 0.25
 
     @functools.cached_property
     def _teeth(self) -> tuple[float, ...]:
@@ -206,8 +223,8 @@ def comb(sigma_tilde: float, d_tilde: float, phi_tilde: float = 0.0,
                    d_tilde=d_tilde, delta_z0=delta_z0, n_max=n_max)
 
 
-def jacobi_theta3(q: float, tol: float = 1e-16) -> float:
-    """theta_3(0, q) = 1 + 2*sum_{n>=1} q**(n*n), truncated when a term < tol.
+def jacobi_theta3(q: float) -> float:
+    """theta_3(0, q) = 1 + 2*sum_{n>=1} q**(n*n), truncated when a term < 1e-16.
 
     Valid for the nome range 0 <= q < 1.
     """
@@ -218,7 +235,7 @@ def jacobi_theta3(q: float, tol: float = 1e-16) -> float:
     while True:
         term = 2.0 * q ** (n * n)
         total += term
-        if term < tol:
+        if term < 1e-16:
             return total
         n += 1
 
@@ -318,20 +335,21 @@ def phase_difference(profile: Profile, chi: float, z_bar: float, z: float) -> fl
     return -profile.phi_tilde**2 * diff * total
 
 
-def normalization(profile: Profile, tol: float = 1e-10) -> float:
+def normalization(profile: Profile) -> float:
     """Quadrature of |F|^2 over the truncation domain.
 
     Must come out as 1 within 1e-8 for any valid profile; the deviation
-    measures tail truncation and quadrature error.
+    measures tail truncation and quadrature error.  Raises
+    NonConvergenceError when the quadrature error estimate exceeds 1e-10.
     """
     from scipy.integrate import quad
 
     lim = profile.z_extent
     pts = list(profile._teeth) if profile.kind.is_comb else None
     val, err = quad(lambda x: modulus(profile, x) ** 2, -lim, lim,
-                    epsabs=tol * 1e-2, epsrel=1e-12,
+                    epsabs=1e-12, epsrel=1e-12,
                     limit=max(200, 20 * (len(pts) if pts else 1)), points=pts)
-    if err > tol:
+    if err > 1e-10:
         raise NonConvergenceError(
-            f"normalization quadrature error {err:.2e} exceeds {tol:g}")
+            f"normalization quadrature error {err:.2e} exceeds 1e-10")
     return val

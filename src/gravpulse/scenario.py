@@ -143,9 +143,12 @@ def _pop_float(pairs: dict[str, str], key: str, default: float | None = None) ->
         return default
     raw = pairs.pop(key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _pop_int(pairs: dict[str, str], key: str, default: int | None = None) -> int | None:

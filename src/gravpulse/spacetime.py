@@ -24,7 +24,6 @@ __all__ = [
     "SpacetimeConfig",
     "RedshiftFactor",
     "redshift_factor",
-    "redshift_delta",
     "delta_expansion",
     "delta_near_limit",
     "kappa",
@@ -34,6 +33,11 @@ __all__ = [
 
 EARTH_SCHWARZSCHILD_RADIUS_M = 8.87e-3   # 2*G*M_earth/c^2, ~9 mm
 EARTH_RADIUS_M = 6.371e6
+
+# Ratio bound of the (delta1, delta2) series in `RedshiftFactor`: relaxed
+# from the library's 1e-3 so pedagogically exaggerated geometries still
+# report, with the printed series residual measuring the loss of accuracy.
+SERIES_MAX_RATIO = 5e-2
 
 
 @dataclass(frozen=True)
@@ -71,15 +75,9 @@ def redshift_factor(cfg: SpacetimeConfig) -> float:
 
     Computed as exp(0.25*(log1p(-1.5*r_s/r_b) - log1p(-r_s/r_a))).  The
     double nearest chi holds chi - 1 only to ~1e-16 absolute, ~1e-6
-    relative at near-Earth delta ~ 1e-10; `redshift_delta` keeps it.
+    relative at near-Earth delta ~ 1e-10; `RedshiftFactor.delta` keeps it.
     """
     return math.exp(_log_chi(cfg))
-
-
-def redshift_delta(cfg: SpacetimeConfig) -> float:
-    """chi - 1 to full relative precision: expm1 of the log-sum that
-    `redshift_factor` exponentiates."""
-    return math.expm1(_log_chi(cfg))
 
 
 def delta_expansion(cfg: SpacetimeConfig, max_ratio: float = 1e-3) -> tuple[float, float]:
@@ -150,7 +148,7 @@ def classical_redshift(z_bar_opt: float, chi: float, sigma: float, z0: float) ->
     With z_bar_opt = 0 this is -sigma*kappa(chi)*z0 = -kappa*omega0, the
     naive carrier-tracking correction.  chi^2 - 1 is formed from chi, so
     near chi = 1 it keeps only ~2e-16/|chi - 1| relative precision; the CLI
-    forms it from `redshift_delta` instead.
+    forms it from `RedshiftFactor.delta` instead.
     """
     if sigma <= 0.0:
         raise ValidityError(f"sigma must be positive, got {sigma:g}")
@@ -160,13 +158,19 @@ def classical_redshift(z_bar_opt: float, chi: float, sigma: float, z0: float) ->
 
 @dataclass(frozen=True)
 class RedshiftFactor:
-    """Exact chi together with its expansion parts."""
+    """Exact chi, chi - 1 to full relative precision (which the double
+    nearest chi lacks near chi = 1), and the expansion parts delta1, delta2
+    (NaN when chi is given directly rather than by a geometry)."""
 
     chi: float
+    delta: float
     delta1: float
     delta2: float
 
     @classmethod
-    def from_config(cls, cfg: SpacetimeConfig, max_ratio: float = 1e-3) -> "RedshiftFactor":
-        d1, d2 = delta_expansion(cfg, max_ratio=max_ratio)
-        return cls(chi=redshift_factor(cfg), delta1=d1, delta2=d2)
+    def from_config(cls, cfg: SpacetimeConfig) -> "RedshiftFactor":
+        """chi = exp and delta = expm1 of one log-sum; the series parts come
+        from `delta_expansion` at ratio bound SERIES_MAX_RATIO."""
+        d1, d2 = delta_expansion(cfg, max_ratio=SERIES_MAX_RATIO)
+        log_chi = _log_chi(cfg)
+        return cls(chi=math.exp(log_chi), delta=math.expm1(log_chi), delta1=d1, delta2=d2)

@@ -150,9 +150,8 @@ def mixed_state(profile: Profile, grid: FrequencyGrid) -> DiscreteState:
                          probabilities=p / tr, prenorm_residual=abs(tr - 1.0))
 
 
-def apply_redshift(state: DiscreteState, chi: float,
-                   grid: FrequencyGrid | None = None) -> DiscreteState:
-    """Received state on the same grid: the analytic profile is re-sampled
+def apply_redshift(state: DiscreteState, chi: float) -> DiscreteState:
+    """Received state on the sender's grid: the analytic profile is re-sampled
     at the rescaled arguments chi^2*z_n (never interpolated from stored
     bins) and renormalized.
 
@@ -161,7 +160,7 @@ def apply_redshift(state: DiscreteState, chi: float,
     """
     if chi <= 0.0 or not math.isfinite(chi):
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
-    grid = grid if grid is not None else state.grid
+    grid = state.grid
     chi_total = state.chi_applied * chi
     z = grid.centers()
     weights = grid.lam * chi_total**2 * modulus(state.profile, chi_total**2 * z) ** 2

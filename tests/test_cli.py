@@ -617,3 +617,93 @@ def test_import_cli_leaves_scipy_integrate_unloaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# r_s/r_a = 0.04: inside the 5e-2 series bound, where delta1 + delta2 misses
+# chi - 1 by ~2e-3 relative.
+STRONG_FIELD = _leo("gaussian_linear", 0.0, r_s=254840.0)
+
+
+def test_redshift_kappa_uses_exact_delta(tmp_path):
+    mpmath = pytest.importorskip("mpmath")
+    path = tmp_path / "strong.cfg"
+    path.write_text(STRONG_FIELD)
+    rc, out, _ = _call(["redshift", "--config", str(path)])
+    rc_o, out_o, _ = _call(["optimize", "--config", str(path)])
+    assert rc == rc_o == 0
+    with mpmath.workdps(50):
+        r_a, r_b, r_s = (mpmath.mpf(x) for x in (6.371e6, 6.771e6, 254840.0))
+        chi2 = mpmath.sqrt((1 - mpmath.mpf(1.5) * r_s / r_b) / (1 - r_s / r_a))
+        ref = float((chi2 - 1) / chi2 * mpmath.mpf(1.215e15))
+    kw = float(_values(out)["kappa*omega0"])
+    assert kw == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert float(_values(out_o)["delta_omega_opt"]) == pytest.approx(-kw, rel=1e-12, abs=0.0)
+
+
+def test_log_chi_runs_once_per_command_and_sweep_row(tmp_path, monkeypatch):
+    from gravpulse import spacetime
+    calls = []
+    log_chi = spacetime._log_chi
+    monkeypatch.setattr(spacetime, "_log_chi", lambda cfg: calls.append(cfg) or log_chi(cfg))
+    path = tmp_path / "leo.cfg"
+    path.write_text(_leo("gaussian_quadratic", 1.5)
+                    + "sweep.param = profile.phi_tilde\nsweep.start = 0\n"
+                      "sweep.stop = 2\nsweep.count = 7\n")
+    for argv, expected in ((["redshift"], 1), (["overlap"], 1), (["optimize"], 1),
+                           (["purity", "--bins", "1024"], 1), (["dump-config"], 0),
+                           (["sweep"], 7)):
+        calls.clear()
+        rc, _, _ = _call([*argv, "--config", str(path)])
+        assert rc == 0 and len(calls) == expected, argv
+    calls.clear()
+    assert _call(["optimize", "--preset", "earth-leo"])[0] == 0 and len(calls) == 1
+
+
+# Every float key a scenario file may set to a non-finite value, in one
+# config that the four commands accept as it stands.
+NONFINITE_BASE = {
+    "profile.phi_tilde": "1.0", "profile.z0": "2.0", "profile.delta_z0": "0.1",
+    "profile.sigma_tilde": "10", "profile.d_tilde": "2", "photons.n_mean": "10",
+    "sweep.start": "0.5",
+}
+
+
+@pytest.mark.parametrize("command", ["overlap", "optimize", "sweep", "purity"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", list(NONFINITE_BASE))
+def test_nonfinite_scenario_value_is_config_error(key, value, command, tmp_path):
+    values = dict(NONFINITE_BASE, **{key: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text("spacetime.chi = 1.05\nframe.omega0_rad_s = 1.215e15\n"
+                    "frame.sigma_rad_s = 1e9\nprofile.kind = comb_quadratic\n"
+                    "photons.kind = coherent\nsweep.param = profile.phi_tilde\n"
+                    "sweep.stop = 1.0\nsweep.count = 2\n"
+                    + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    rc, out, err = _call([command, "--config", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [f"config error: {key}: must be finite, got {value!r}"]
+
+
+def test_comb_too_fine_for_the_kernel_is_config_error(tmp_path):
+    # sigma_tilde = 1000 needs ~1.8e5 coarsest kernel intervals (cap 2^17).
+    path = tmp_path / "fine.cfg"
+    path.write_text(DESK.replace("gaussian_linear", "comb_linear")
+                    + "profile.sigma_tilde = 1000\nprofile.d_tilde = 2\n")
+    for command in ("overlap", "optimize", "purity"):
+        rc, out, err = _call([command, "--config", str(path)])
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("config error: comb needs")
+
+
+@pytest.mark.parametrize("kind", ["coherent", "squeezed"])
+def test_overlap_multiphoton_delta_m_is_n_independent(kind, tmp_path):
+    printed = set()
+    for n in (1.0, 10.0, 1e4):
+        path = tmp_path / "photons.cfg"
+        path.write_text(DESK + f"photons.kind = {kind}\nphotons.n_mean = {n!r}\n")
+        rc, out, _ = _call(["overlap", "--config", str(path)])
+        assert rc == 0
+        vals = _values(out)
+        assert vals["multi-photon delta_m"] == vals["delta_m"]
+        printed.add(vals["multi-photon delta_m"])
+    assert len(printed) == 1

@@ -23,11 +23,10 @@ def test_fock_basics():
 
 
 def test_coherent_law():
-    dp, dm = coherent_overlap(1.0, 17.0, 0.93)
-    assert dp == 1.0 and dm == 0.93
-    assert coherent_overlap(0.5, 0.0)[0] == 1.0
+    assert coherent_overlap(1.0, 17.0) == 1.0
+    assert coherent_overlap(0.5, 0.0) == 1.0
     # Re(Lambda) = 1 - 1e-4 at N = 1e4 gives exactly exp(-1)
-    dp, _ = coherent_overlap(1.0 - 1e-4, 1e4)
+    dp = coherent_overlap(1.0 - 1e-4, 1e4)
     assert dp == pytest.approx(math.exp(-1.0), rel=1e-14)
     with pytest.raises(ValidityError):
         coherent_overlap(1.5, 1.0)
@@ -36,12 +35,12 @@ def test_coherent_law():
 
 
 def test_squeezed_law():
-    assert squeezed_overlap(1.0, 123.0)[0] == 1.0
+    assert squeezed_overlap(1.0, 123.0) == 1.0
     lam, n = 0.98, 37.0
-    dp, _ = squeezed_overlap(lam, n)
+    dp = squeezed_overlap(lam, n)
     assert dp == pytest.approx(1.0 / (1.0 + 0.5 * (1.0 - lam) * n), rel=1e-14)
     # complex Lambda engages the imaginary term
-    dpc, _ = squeezed_overlap(0.9 + 0.1j, 10.0)
+    dpc = squeezed_overlap(0.9 + 0.1j, 10.0)
     expected = ((1.0 + 0.5 * 0.1 * 10.0) ** 2 + 0.25 * 0.01 * 100.0) ** -0.5
     assert dpc == pytest.approx(expected, rel=1e-14)
 
@@ -51,7 +50,7 @@ def test_squeezed_large_n_asymptote():
     # correction from the +1 in the denominator
     lam = 0.5
     for n in (1e3, 1e4, 1e5):
-        dp, _ = squeezed_overlap(lam, n)
+        dp = squeezed_overlap(lam, n)
         assert dp * n == pytest.approx(4.0, rel=5.0 / n)
 
 
@@ -60,23 +59,15 @@ def test_squeezed_large_n_asymptote():
        st.integers(min_value=1, max_value=99))
 def test_monotone_decay_in_photon_number(lam, n):
     assert fock_overlap(lam, n + 1) <= fock_overlap(lam, n)
-    assert coherent_overlap(lam, n + 1)[0] <= coherent_overlap(lam, n)[0]
-    assert squeezed_overlap(lam, n + 1)[0] <= squeezed_overlap(lam, n)[0]
+    assert coherent_overlap(lam, n + 1) <= coherent_overlap(lam, n)
+    assert squeezed_overlap(lam, n + 1) <= squeezed_overlap(lam, n)
 
 
 def test_consistency_at_single_photon():
     # coherent and Fock agree to first order in the deficit
     eps = 1e-6
     lam = 1.0 - eps
-    assert coherent_overlap(lam, 1.0)[0] == pytest.approx(fock_overlap(lam, 1), abs=eps**2 * 2)
-
-
-def test_mixed_passthrough_is_n_independent():
-    lam = 0.95 + 0.02j
-    dm = 0.97
-    for n in (1.0, 10.0, 1e4):
-        assert coherent_overlap(lam, n, dm)[1] == dm
-        assert squeezed_overlap(lam, n, dm)[1] == dm
+    assert coherent_overlap(lam, 1.0) == pytest.approx(fock_overlap(lam, 1), abs=eps**2 * 2)
 
 
 def test_photon_statistics_validation():

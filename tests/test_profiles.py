@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravpulse.errors import ValidityError
-from gravpulse.profiles import (DimensionfulFrame, Profile, ProfileKind, comb,
+from gravpulse.profiles import (MAX_INTERVALS, DimensionfulFrame, Profile, ProfileKind, comb,
                                 comb_tooth_positions, evaluate, gaussian_linear,
                                 gaussian_quadratic, jacobi_theta3, modulus,
                                 normalization, phase)
@@ -241,6 +242,32 @@ def test_evaluate_vector_scalar_agree():
     vec = evaluate(p, zs)
     sc = np.array([evaluate(p, float(z)) for z in zs])
     assert np.allclose(vec, sc, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Profile(ProfileKind.COMB_LINEAR, sigma_tilde=10.0, d_tilde=2.0, n_max=10**8),
+    lambda: comb(1e6, 1e-5),                      # default n_max ~ 8e5 teeth
+    lambda: comb(1000.0, 2.0, phase_kind="quadratic"),
+], ids=["n_max_1e8", "tiny_d_huge_sigma", "sigma_1000"])
+def test_comb_beyond_kernel_interval_cap_is_refused_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidityError, match="overlap-kernel intervals"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_comb_kernel_interval_cap_boundary():
+    # 8*sigma_tilde*z_extent intervals with z_extent = 5*2 + 10/sigma + 10:
+    # 130960 at sigma_tilde = 818, 131280 at 820 (cap 131072)
+    below = Profile(ProfileKind.COMB_LINEAR, sigma_tilde=818.0, d_tilde=2.0, n_max=5)
+    assert 2.0 * below.z_extent / below.node_spacing == pytest.approx(130960.0)
+    assert MAX_INTERVALS == 131072
+    with pytest.raises(ValidityError):
+        Profile(ProfileKind.COMB_LINEAR, sigma_tilde=820.0, d_tilde=2.0, n_max=5)
 
 
 def test_tooth_positions():

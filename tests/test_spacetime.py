@@ -172,8 +172,18 @@ def test_config_invariants():
 def test_redshift_factor_record():
     cfg = SpacetimeConfig(r_a=EARTH_RADIUS_M, r_b=6.771e6)
     rf = RedshiftFactor.from_config(cfg)
-    assert rf.chi == pytest.approx(redshift_factor(cfg), rel=1e-15)
+    assert rf.chi == redshift_factor(cfg)
     assert abs(rf.delta1) > abs(rf.delta2)
+    # chi - 1 ~ -1.4e-10 to full relative precision, which rf.chi - 1.0 lacks
+    ref = chi_reference(cfg.r_a, cfg.r_b, cfg.r_s) - 1
+    assert rf.delta == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+    assert abs(rf.chi - 1.0 - float(ref)) > 1e-9 * abs(float(ref))
+
+
+def test_redshift_factor_record_refuses_series_beyond_ratio_bound():
+    RedshiftFactor.from_config(SpacetimeConfig(r_a=100.0, r_b=200.0, r_s=4.9))
+    with pytest.raises(ValidityError):
+        RedshiftFactor.from_config(SpacetimeConfig(r_a=100.0, r_b=200.0, r_s=5.0))
 
 
 def test_first_order_dominates_away_from_cancellation():
