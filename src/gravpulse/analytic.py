@@ -456,6 +456,6 @@ def weak_field_optimum(profile: Profile, delta1: float) -> OptimizationResult:
     c = weak_field_coefficients(profile)
     d2 = delta1 * delta1
     # + 0.0 turns the -0.0 of an unshifted profile at delta1 < 0 into 0.0
-    return OptimizationResult(c.z_rate * delta1 + 0.0, math.exp(-c.c_p * d2), 0.0,
+    return OptimizationResult(c.z_rate * delta1 + 0.0, math.exp(-c.c_p * d2),
                               math.exp(-c.c_m * d2), math.exp(-c.c_naive * d2),
                               math.expm1(-(c.c_p - c.c_m) * d2), 0, True, "weak-field")

@@ -39,6 +39,8 @@ class PhotonStatistics:
     n_mean: float
 
     def __post_init__(self):
+        if not math.isfinite(self.n_mean):
+            raise ValidityError(f"photon number must be finite, got {self.n_mean!r}")
         if self.kind is PhotonKind.FOCK:
             if self.n_mean < 1 or self.n_mean != int(self.n_mean):
                 raise ValidityError(

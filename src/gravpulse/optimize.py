@@ -1,24 +1,27 @@
 """Maximization of the corrected overlaps over the rigid spectral shift.
 
-One pass gives both optima and the naive overlap.  A coarse grid scan
-(global; pitch kept below a quarter tooth spacing for combs, whose
-objectives are multimodal) is one batched call of the fixed-node kernel
-`overlap.overlap_batch`, which returns Lambda_p and Delta_m together; the
-scan also carries z_bar = 0, whose pure overlap is the naive
-(carrier-tracking only) one, and which stays out of the argmax.  From the
-scan, a safeguarded Newton loop on log(objective) refines the maximizer of
-Delta_p = |Lambda_p| and then that of Delta_m, each inside the scan's
-bracket around its best grid point.  Each Newton step and each final
-gradient check is one kernel call of three shifts, and the reported
-overlaps are the kernel's values at each optimum from its last call.
+One batched call of the fixed-node kernel `overlap.overlap_batch` scans
+Lambda_p and Delta_m over a grid (pitch at most a quarter tooth spacing
+for combs, whose objectives are multimodal) with an odd point count and its
+centre exactly at z_bar = 0.  A safeguarded Newton loop on log|Lambda_p|
+then refines the maximizer of Delta_p = |Lambda_p| inside the scan's
+bracket around its best grid point; each step and the final gradient check
+is one kernel call of three shifts.
 
-Each Newton step takes the first and second differences of log(objective)
-on a three-point stencil.  For Gaussian profiles log(objective) is exactly
-quadratic in z_bar, so one step lands on the maximizer; for other profiles
-the bracket keeps the scan's global choice and a step that is not concave
-or would leave it falls back to bisection.  Differencing the log rather
-than the objective keeps the maximizer resolvable to ~1e-9 where the
-objective itself varies by less than its rounding.
+The mixed overlap needs no search.  Delta_m(z_bar) is the cross-correlation
+of the even moduli f(chi*z) and f(z/chi), whose Fourier transforms are
+non-negative (a Gaussian, or a Gaussian envelope times a Gaussian tooth
+train, up to the <= 1e-14 of weight tooth truncation drops).  So Delta_m is
+positive definite and, by Bochner's theorem, Delta_m(z_bar) <= Delta_m(0):
+Delta_m_opt, like the naive (carrier-tracking only) Delta_p, is the scan's
+value at z_bar = 0.
+
+For Gaussian profiles log|Lambda_p| is exactly quadratic in z_bar, so one
+Newton step lands on the maximizer; for other profiles the bracket keeps
+the scan's global choice and a step that is not concave or would leave it
+falls back to bisection.  Differencing the log rather than Delta_p keeps
+the maximizer resolvable to ~1e-9 where Delta_p itself varies by less than
+its rounding.
 """
 
 from __future__ import annotations
@@ -54,46 +57,41 @@ MAX_NEWTON_STEPS = 60
 
 
 class FlatObjectiveWarning(UserWarning):
-    """The overlap deformation 1 - Delta is below machine resolution over
-    the scan window (chi too close to 1); the optimizer returns z_bar = 0."""
+    """The pure-overlap deformation 1 - Delta_p is below machine resolution
+    over the scan window (chi too close to 1); the optimizer returns z_bar = 0."""
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Optimal shifts and overlaps of one profile at one chi, from either
+    """Optimal shift and overlaps of one profile at one chi, from either
     path: `maximize_shift` ("numeric") or `analytic.weak_field_optimum`
-    ("weak-field", which has z_bar_m_opt = 0, n_evals = 0, converged)."""
+    ("weak-field", with n_evals = 0 and converged)."""
 
     z_bar_opt: float          # maximizer of Delta_p
     delta_p_opt: float
-    z_bar_m_opt: float        # maximizer of Delta_m
-    delta_m_opt: float
+    delta_m_opt: float        # Delta_m at z_bar = 0, its maximum
     naive_delta_p: float      # Delta_p at z_bar = 0
     eta: float                # delta_p_opt / delta_m_opt - 1
     n_evals: int              # overlap evaluations (shifts)
-    converged: bool           # both gradient checks
+    converged: bool           # the gradient check of Delta_p
     path: str                 # "numeric" or "weak-field"
 
 
 def maximize_shift(profile: Profile, chi: float,
                    quad_tol: float = 1e-12) -> OptimizationResult:
-    """Globally maximize Delta_p and Delta_m over |z_bar| <= SCAN_HALF_WIDTH.
+    """Globally maximize Delta_p over |z_bar| <= SCAN_HALF_WIDTH; Delta_m_opt
+    and the naive Delta_p are the scan's values at z_bar = 0.
 
-    Every objective value comes from `overlap_batch` at tolerance
-    `quad_tol`, and one scan serves both objectives.  Grid-ties within
-    1e-13 resolve toward the smallest |z_bar|.  When the scan cannot
-    resolve any variation of an objective, or its deformation 1 - Delta is
-    itself below 1e-13, that objective takes z_bar = 0 from the scan and
-    one FlatObjectiveWarning is emitted.
-
-    Otherwise Newton steps on log(objective) refine the best grid point
-    within its neighbouring grid points.  The loop stops once a step is
-    shorter than NEWTON_XTOL, once a Newton step is no shorter than the
-    Newton step before it (rounding noise), or after MAX_NEWTON_STEPS steps.
-    `converged` reports whether both objectives' slopes at their returned
-    z_bar are below 1e-5.  The record's path is "numeric"; the classical
-    redshift is left to the caller, which knows chi - 1 more precisely than
-    chi does.
+    Every overlap comes from `overlap_batch` at tolerance `quad_tol`.
+    Grid-ties within FLAT_SPREAD resolve toward the smallest |z_bar|.  When
+    the scan resolves no variation of Delta_p, or 1 - Delta_p is itself
+    below FLAT_SPREAD, z_bar_opt = 0 and one FlatObjectiveWarning is
+    emitted.  Otherwise Newton steps refine the best grid point within its
+    neighbours until a step is shorter than NEWTON_XTOL, a Newton step is no
+    shorter than the one before it (rounding noise), or MAX_NEWTON_STEPS;
+    `converged` says whether the slope of Delta_p at z_bar_opt is below
+    1e-5.  The path is "numeric"; the classical redshift is left to the
+    caller, which knows chi - 1 more precisely than chi does.
     """
     if not (chi > 0.0 and math.isfinite(chi)):
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
@@ -105,40 +103,30 @@ def maximize_shift(profile: Profile, chi: float,
         n_evals += lam.size
         return lam, dm
 
-    n_points = SCAN_POINTS
+    half = SCAN_POINTS // 2
     if profile.kind.is_comb:
-        # multimodal objective with period ~ d_tilde*chi: pitch < d_tilde/4
-        n_points = max(n_points, int(math.ceil(8.0 * SCAN_HALF_WIDTH / profile.d_tilde)) + 1)
-    grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, n_points)
-    # The last shift, z_bar = 0, gives the naive overlap and the flat result.
-    lam, dm = ev(np.append(grid, 0.0))
-    at_zero = (0.0, lam[-1], dm[-1], True)
-    pure = _maximize(ev, lambda lam, dm: np.abs(lam), grid, lam, dm)
-    mixed = _maximize(ev, lambda lam, dm: dm, grid, lam, dm)
-    if pure is None or mixed is None:
-        # No variation at all, or the deformation 1 - Delta_opt sits below
-        # double-precision resolution: chi is too close to 1 for the numeric
-        # route and the tie-break (smallest |z_bar|) applies.
+        # multimodal objective with period ~ d_tilde*chi: pitch <= d_tilde/4
+        half = max(half, int(math.ceil(4.0 * SCAN_HALF_WIDTH / profile.d_tilde)))
+    grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 2 * half + 1)
+    grid[half] = 0.0        # linspace's midpoint can miss 0 by an ulp
+    lam, dm = ev(grid)
+    naive, delta_m = float(abs(lam[half])), float(dm[half])
+    pure = _maximize(ev, grid, np.abs(lam))
+    if pure is None:
         warnings.warn(
             "overlap deformation is below machine resolution over the scan "
             "window; returning z_bar = 0 (consider an exaggerated chi "
             "override for numeric studies)", FlatObjectiveWarning)
-    z_p, lam_p, _, converged_p = pure or at_zero
-    z_m, _, dm_m, converged_m = mixed or at_zero
-    delta_p, delta_m = float(abs(lam_p)), float(dm_m)
-    return OptimizationResult(z_bar_opt=z_p, delta_p_opt=delta_p, z_bar_m_opt=z_m,
-                              delta_m_opt=delta_m, naive_delta_p=float(abs(lam[-1])),
-                              eta=delta_p / delta_m - 1.0, n_evals=n_evals,
-                              converged=converged_p and converged_m, path="numeric")
+    z_p, delta_p, converged = pure or (0.0, naive, True)
+    return OptimizationResult(z_bar_opt=z_p, delta_p_opt=delta_p, delta_m_opt=delta_m,
+                              naive_delta_p=naive, eta=delta_p / delta_m - 1.0,
+                              n_evals=n_evals, converged=converged, path="numeric")
 
 
-def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray,
-              dm: np.ndarray) -> tuple[float, complex, float, bool] | None:
-    """(z_bar, Lambda_p, Delta_m, converged) at the maximizer of
-    objective(Lambda_p, Delta_m), refined from the scan values `lam`, `dm`
-    on `grid` (plus one trailing shift left out); None when the scan shows
+def _maximize(ev, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float, bool] | None:
+    """(z_bar, Delta_p, converged) at the maximizer of Delta_p = |Lambda_p|,
+    refined from its scan values `vals` on `grid`; None when the scan shows
     no resolvable deformation."""
-    vals = objective(lam, dm)[:grid.size]
     spread = float(vals.max() - vals.min())
     if spread < FLAT_SPREAD or 1.0 - float(vals.max()) < FLAT_SPREAD:
         return None
@@ -150,7 +138,7 @@ def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray,
     x = float(grid[i])
     h, prev = NEWTON_H, math.inf
     for _ in range(MAX_NEWTON_STEPS):
-        y = objective(*ev([x - h, x, x + h]))
+        y = np.abs(ev([x - h, x, x + h])[0])
         if not np.all(y > 0.0):
             break
         y0, y1, y2 = (math.log(v) for v in y)
@@ -173,10 +161,11 @@ def _maximize(ev, objective, grid: np.ndarray, lam: np.ndarray,
             h = NEWTON_H_FINE
     # Gradient check: the stationary-point residual at the reported optimum,
     # evaluated together with the optimum itself.
-    lam, dm = ev([x - 1e-5, x, x + 1e-5])
-    y = objective(lam, dm)
+    lam = ev([x - 1e-5, x, x + 1e-5])[0]
+    y = np.abs(lam)
     g = (y[2] - y[0]) / 2e-5
-    return x, lam[1], dm[1], bool(abs(g) < 1e-5)
+    # abs of the complex element: np.abs of an array can differ in the last bit
+    return x, float(abs(lam[1])), bool(abs(g) < 1e-5)
 
 
 def naive_corrected_overlap(profile: Profile, chi: float,

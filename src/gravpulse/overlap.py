@@ -271,9 +271,8 @@ def _phase_rate(profile: Profile, chi: float, z_bars: np.ndarray,
         return np.full(z_bars.shape, abs(profile.phi_tilde * a))
     # d/dz [(a*z + zb) * (b*z + zb + 2c)] = 2ab*z + a*(zb + 2c) + b*zb
     b = chi + 1.0 / chi
-    center = profile.delta_z0 if profile.kind.is_comb else profile.z0
     return profile.phi_tilde**2 * (2.0 * abs(a * b) * half
-                                   + np.abs(a * (z_bars + 2.0 * center) + b * z_bars))
+                                   + np.abs(a * (z_bars + 2.0 * profile.phase_center) + b * z_bars))
 
 
 def _node_sums(profile: Profile, chi: float, z_bars: np.ndarray, nodes: np.ndarray,

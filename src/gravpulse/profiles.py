@@ -118,16 +118,23 @@ class Profile:
     n_max: int = 0                # comb tooth truncation index
 
     def __post_init__(self):
+        # One sum screens the fields: sweeps rebuild the profile per row.
+        if not math.isfinite(self.phi_tilde + self.z0 + self.sigma_tilde + self.d_tilde
+                             + self.delta_z0):
+            for name in ("phi_tilde", "z0", "sigma_tilde", "d_tilde", "delta_z0"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValidityError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kind.is_comb:
-            if self.sigma_tilde < MIN_SIGMA_TILDE:
+            # written so that NaN fails them
+            if not self.sigma_tilde >= MIN_SIGMA_TILDE:
                 raise ValidityError(
                     f"sigma_tilde = {self.sigma_tilde:g} < {MIN_SIGMA_TILDE:g}; the "
                     "envelope must be much wider than a single tooth")
-            if self.d_tilde * self.sigma_tilde < MIN_TOOTH_SEPARATION:
+            if not self.d_tilde * self.sigma_tilde >= MIN_TOOTH_SEPARATION:
                 raise ValidityError(
                     f"d_tilde*sigma_tilde = {self.d_tilde * self.sigma_tilde:g} < "
                     f"{MIN_TOOTH_SEPARATION:g}; comb teeth are not well separated")
-            if self.n_max < 1:
+            if not self.n_max >= 1:
                 raise ValidityError("comb profiles need n_max >= 1")
             intervals = 2.0 * self.z_extent / self.node_spacing
             if intervals > MAX_INTERVALS:
@@ -142,6 +149,13 @@ class Profile:
                     f"{dropped:.2e} > {_TRUNCATION_WEIGHT:g}")
 
     # -- geometry -----------------------------------------------------------
+
+    @property
+    def phase_center(self) -> float:
+        """Offset c of the spectral phase, psi = -phi_tilde*(z + c) or
+        -phi_tilde**2*(z + c)**2: delta_z0 for the quadratic comb, z0 otherwise."""
+        kind = self.kind
+        return self.delta_z0 if kind.is_comb and kind.has_quadratic_phase else self.z0
 
     @property
     def z_extent(self) -> float:
@@ -294,10 +308,9 @@ def phase(profile: Profile, z):
     """Spectral phase psi(z); accepts scalars or arrays."""
     scalar = np.ndim(z) == 0
     z = float(z) if scalar else np.asarray(z, dtype=float)
-    if profile.kind is ProfileKind.GAUSSIAN_LINEAR or profile.kind is ProfileKind.COMB_LINEAR:
-        return -profile.phi_tilde * (z + profile.z0)
-    center = profile.delta_z0 if profile.kind is ProfileKind.COMB_QUADRATIC else profile.z0
-    return -profile.phi_tilde**2 * (z + center) ** 2
+    if not profile.kind.has_quadratic_phase:
+        return -profile.phi_tilde * (z + profile.phase_center)
+    return -profile.phi_tilde**2 * (z + profile.phase_center) ** 2
 
 
 def phase_slope(profile: Profile) -> tuple[float, float]:
@@ -305,8 +318,7 @@ def phase_slope(profile: Profile) -> tuple[float, float]:
     if not profile.kind.has_quadratic_phase:
         return -profile.phi_tilde, 0.0
     b = -2.0 * profile.phi_tilde**2
-    center = profile.delta_z0 if profile.kind is ProfileKind.COMB_QUADRATIC else profile.z0
-    return b * center, b
+    return b * profile.phase_center, b
 
 
 def evaluate(profile: Profile, z):
@@ -330,8 +342,7 @@ def phase_difference(profile: Profile, chi: float, z_bar: float, z: float) -> fl
     diff = (chi - 1.0 / chi) * z + z_bar
     if not profile.kind.has_quadratic_phase:
         return -profile.phi_tilde * diff
-    center = profile.delta_z0 if profile.kind is ProfileKind.COMB_QUADRATIC else profile.z0
-    total = (chi + 1.0 / chi) * z + z_bar + 2.0 * center
+    total = (chi + 1.0 / chi) * z + z_bar + 2.0 * profile.phase_center
     return -profile.phi_tilde**2 * diff * total
 
 

@@ -162,23 +162,21 @@ def apply_redshift(state: DiscreteState, chi: float) -> DiscreteState:
         raise ValidityError(f"chi must be positive and finite, got {chi!r}")
     grid = state.grid
     chi_total = state.chi_applied * chi
-    z = grid.centers()
-    weights = grid.lam * chi_total**2 * modulus(state.profile, chi_total**2 * z) ** 2
-    mass = float(weights.sum())
+    if state.kind is StateKind.PURE:
+        # the amplitudes' norm^2 is the same sum lam*chi^2*|F|^2
+        amp, mass = _sampled_amplitudes(state.profile, grid, chi_total)
+    else:
+        z = grid.centers()
+        weights = grid.lam * chi_total**2 * modulus(state.profile, chi_total**2 * z) ** 2
+        mass = float(weights.sum())
     if abs(mass - 1.0) > LEAK_TOLERANCE:
         raise SupportEscapeError(
             f"rescaled profile leaks {abs(mass - 1.0):.2e} past the grid "
             f"(tolerance {LEAK_TOLERANCE:g})")
-    if state.kind is StateKind.PURE:
-        amp, norm_sq = _sampled_amplitudes(state.profile, grid, chi_total)
-        return DiscreteState(StateKind.PURE, grid, state.profile,
-                             chi_applied=chi_total,
-                             amplitudes=amp / math.sqrt(norm_sq),
-                             prenorm_residual=abs(norm_sq - 1.0))
-    return DiscreteState(StateKind.MIXED_DIAGONAL, grid, state.profile,
-                         chi_applied=chi_total,
-                         probabilities=weights / mass,
-                         prenorm_residual=abs(mass - 1.0))
+    samples = ({"amplitudes": amp / math.sqrt(mass)} if state.kind is StateKind.PURE
+               else {"probabilities": weights / mass})
+    return DiscreteState(state.kind, grid, state.profile, chi_applied=chi_total,
+                         prenorm_residual=abs(mass - 1.0), **samples)
 
 
 def purity(state: DiscreteState) -> float:

@@ -79,6 +79,13 @@ def test_photon_statistics_validation():
         PhotonStatistics(PhotonKind.SQUEEZED, -1.0)
 
 
+@pytest.mark.parametrize("kind", list(PhotonKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n_mean", [math.nan, math.inf, -math.inf])
+def test_photon_statistics_refuses_nonfinite_n_mean(kind, n_mean):
+    with pytest.raises(ValidityError, match="finite"):
+        PhotonStatistics(kind, n_mean)
+
+
 def test_squeezing_parameter_roundtrip():
     for n in (0.5, 2.0, 40.0):
         s = squeezing_parameter(n)

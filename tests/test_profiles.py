@@ -278,6 +278,26 @@ def test_tooth_positions():
         comb_tooth_positions(gaussian_linear(0.0))
 
 
+@pytest.mark.parametrize("kind", list(ProfileKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("field", ["phi_tilde", "z0", "sigma_tilde", "d_tilde", "delta_z0"])
+def test_nonfinite_profile_field_is_refused(field, kind):
+    valid = dict(phi_tilde=1.0, z0=0.5, sigma_tilde=10.0, d_tilde=2.0, delta_z0=0.3, n_max=6)
+    Profile(kind, **valid)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidityError):
+            Profile(kind, **{**valid, field: bad})
+
+
+def test_finite_profile_fields_whose_sum_overflows_are_accepted():
+    p = Profile(ProfileKind.GAUSSIAN_QUADRATIC, phi_tilde=1e308, z0=1e308, delta_z0=1e308)
+    assert p.phase_center == 1e308
+
+
+def test_comb_nan_n_max_is_refused():
+    with pytest.raises(ValidityError, match="n_max"):
+        Profile(ProfileKind.COMB_LINEAR, sigma_tilde=10.0, d_tilde=2.0, n_max=math.nan)
+
+
 def test_frame_validation():
     f = DimensionfulFrame(omega0=1.215e15, sigma=1e9)
     assert f.z0 == pytest.approx(1.215e6)

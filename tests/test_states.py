@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gravpulse import states
 from gravpulse.errors import (GridMismatchError, SupportEscapeError,
                               ValidityError)
 from gravpulse.overlap import overlap_mixed, overlap_pure
@@ -103,9 +104,22 @@ def test_purity_invariance_composition():
 def test_support_escape():
     prof = gaussian_linear(0.0)
     grid = FrequencyGrid.centered(300, 11.0 / 300)   # barely covers 10 widths
-    s = mixed_state(prof, grid)
-    with pytest.raises(SupportEscapeError):
-        apply_redshift(s, 0.7)   # expansion by 1/chi^2 ~ 2 leaks the tails
+    for build in (pure_state, mixed_state):
+        s = build(prof, grid)
+        with pytest.raises(SupportEscapeError):
+            apply_redshift(s, 0.7)   # expansion by 1/chi^2 ~ 2 leaks the tails
+
+
+def test_redshifting_a_pure_state_samples_the_profile_once(monkeypatch):
+    s = pure_state(gaussian_quadratic(0.6, z0=1.0), grid_with(1.0 / 64))
+    calls = []
+    for name in ("evaluate", "modulus"):
+        real = getattr(states, name)
+        monkeypatch.setattr(states, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    r = apply_redshift(s, 1.03)
+    assert calls == ["evaluate"]
+    assert np.vdot(r.amplitudes, r.amplitudes).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fidelity_trivials():
