@@ -10,27 +10,18 @@ those of :mod:`gravpulse.profiles`:
 * linear    psi(z) = -phi*(z + z0)
 * quadratic psi(z) = -phi**2*(z + z0)**2
 
-Quadratic-phase Gaussian.  Writing P = chi^2 - 1, Q = chi^4 + 1:
+Gaussian envelope.  With the phase slope psi'(z) = a + b*z of
+`profiles.phase_slope` (linear: a = -phi, b = 0; quadratic: a = -2*phi^2*z0,
+b = -2*phi^2) the pure overlap is one complex Gaussian integral.  With
+P = chi^2 - 1, Q = chi^4 + 1 and g = 2*b*(chi^4 - 1)/Q:
 
-    xi = 1 + 16*phi^4*(chi^4-1)^2/Q^2
-    a1 = chi^2 * P * phi^4 * z0 / (Q^2 * xi)
-    a2 = (1 + 16*phi^4) / (Q * xi)
-
+    xi = 1 + g^2,   a1 = a*b*chi^2*P/(4*Q^2*xi),   a2 = (1 + 4*b^2)/(Q*xi)
     Delta_p(z_bar) = sqrt(2)*chi/sqrt(Q) * xi**-0.25
-                     * exp(-4*phi^4*P^2*z0^2/(Q*xi) - 16*a1*z_bar - a2*z_bar^2/4)
-    Delta_m(z_bar) = sqrt(2)*chi/sqrt(Q) * exp(-z_bar^2/(4*Q))
+                     * exp(-a^2*P^2/(Q*xi) - 16*a1*z_bar - a2*z_bar^2/4)
 
-so the pure-state maximizer is z_bar_opt = -32*a1/a2 and the optimal value
-carries the gain factor exp(256*a1^2/a2).  Note a1 is first order in P and
-fourth order in phi, and the prefactor carries xi**-1/4: both facts follow
-from the complex Gaussian integral and are confirmed by quadrature.
-
-Weak field (chi = 1 + delta1):
-
-    Gaussian linear     1 - Delta_p_opt = (1 + 2*phi^2) * delta1^2
-    Gaussian quadratic  1 - Delta_p_opt =
-        (1 + 16*phi^4 + 8*phi^4*z0^2/(1 + 16*phi^4)) * delta1^2
-    both mixed          1 - Delta_m_opt = delta1^2
+and Delta_m is the case a = b = 0.  The pure-state maximizer is
+z_bar_opt = -32*a1/a2, with gain factor exp(256*a1^2/a2); the linear phase
+has xi = 1 and a1 = 0.
 
 Weak field, every family (what `weak_field_optimum` reports).  Let
 K = -i(z*d/dz + 1/2) generate dilations and P = -i*d/dz translations of
@@ -52,9 +43,16 @@ f = |G|, Var P = w0 + b^2*m2 and Cov(K,P) = a*b*m2, and the deficits
     c_p - c_m     = 2*[a^2*m2*w0/Var P + b^2*(m4 - m2^2)]
     c_naive - c_m = 2*[a^2*m2 + b^2*(m4 - m2^2)]            (z_bar = 0)
 
-For the Gaussian these are the coefficients above.  Each overlap is
-reported as exp(-c*delta1^2); c_naive >= c_p >= c_m >= 0 keeps the values
-in (0, 1] and in order.
+Each overlap is reported as exp(-c*delta1^2); c_naive >= c_p >= c_m >= 0
+keeps the values in (0, 1] and in order.
+
+The moments are exact tooth-pair sums.  Teeth n, m of the comb add to f^2
+a Gaussian in z of mean mu = s*d*(n + m)/alpha, variance 1/(2*alpha) and
+weight exp(-s*d^2*((n - m)^2/2 + (n + m)^2/(4*alpha))), s = sigma^2/4,
+alpha = 1/2 + 2*s, and to f'^2 the same times alpha^2*(z - mu)^2 - (s*d*(n - m))^2.
+Each moment is the pair sum of Gaussian moments over the pair sum for
+int f^2.  The Gaussian is the one pair s = 0, n = m = 0: (m2, m4, w0, w2) =
+(1, 3, 1/4, 3/4), so c_m = 1 and c_p = 1 + 2*a^2/(1 + 4*b^2) + 4*b^2.
 
 Comb with linear phase (z_bar_opt = 0): with x0 = (sigma^2/(1+sigma^2))*d^2/2,
 
@@ -80,7 +78,8 @@ import numpy as np
 
 from .errors import ValidityError
 from .optimize import OptimizationResult
-from .profiles import Profile, ProfileKind, jacobi_theta3, modulus, phase_slope
+from .profiles import (Profile, ProfileKind, gaussian_linear, gaussian_quadratic,
+                       jacobi_theta3, phase_slope)
 
 __all__ = [
     "CombQuadraticResult",
@@ -102,11 +101,37 @@ __all__ = [
     "weak_field_optimum",
 ]
 
-# -- Gaussian envelope, linear phase ------------------------------------------
+# -- Gaussian envelope ---------------------------------------------------------
 
 
-def _mixed_prefactor(chi: float) -> float:
-    return math.sqrt(2.0) * chi / math.sqrt(chi**4 + 1.0)
+def _gaussian_overlap(profile: Profile, chi: float,
+                      p: float) -> tuple[float, float, float, float]:
+    """(xi, a1, a2, log_gap) of the Gaussian-envelope `profile` at chi, given
+    p = chi^2 - 1 formed by the caller; log_gap is log(Delta_p/Delta_m) at
+    z_bar = 0.  See the module docstring."""
+    if chi <= 0.0:
+        raise ValidityError(f"chi must be positive, got {chi!r}")
+    a, b = phase_slope(profile)
+    q = chi**4 + 1.0
+    g = 2.0 * b * p * (2.0 + p) / q
+    xi = 1.0 + g * g
+    a1 = a * b * chi * chi * p / (4.0 * q * q * xi)
+    a2 = (1.0 + 4.0 * b * b) / (q * xi)
+    return xi, a1, a2, -0.25 * math.log1p(g * g) - a * a * p * p / (q * xi)
+
+
+def _gaussian_closed(profile: Profile, chi: float, z_bar: float) -> tuple[float, float]:
+    _, a1, a2, gap = _gaussian_overlap(profile, chi, chi * chi - 1.0)
+    q = chi**4 + 1.0
+    dm0 = math.sqrt(2.0) * chi / math.sqrt(q)
+    return (dm0 * math.exp(gap - 16.0 * a1 * z_bar - 0.25 * a2 * z_bar**2),
+            dm0 * math.exp(-z_bar**2 / (4.0 * q)))
+
+
+def _gaussian_optimal(profile: Profile, chi: float) -> tuple[float, float, float]:
+    _, a1, a2, gap = _gaussian_overlap(profile, chi, chi * chi - 1.0)
+    dm0 = math.sqrt(2.0) * chi / math.sqrt(chi**4 + 1.0)
+    return dm0 * math.exp(gap + 256.0 * a1 * a1 / a2), dm0, -32.0 * a1 / a2
 
 
 def gaussian_linear_closed(chi: float, phi_tilde: float, z_bar: float) -> tuple[float, float]:
@@ -116,12 +141,7 @@ def gaussian_linear_closed(chi: float, phi_tilde: float, z_bar: float) -> tuple[
     exponent is quadratic, which is what makes z_bar = 0 a stationary
     point.
     """
-    if chi <= 0.0:
-        raise ValidityError(f"chi must be positive, got {chi!r}")
-    q = chi**4 + 1.0
-    dm = _mixed_prefactor(chi) * math.exp(-z_bar**2 / (4.0 * q))
-    dp = dm * math.exp(-((chi**2 - 1.0) ** 2) * phi_tilde**2 / q)
-    return dp, dm
+    return _gaussian_closed(gaussian_linear(phi_tilde), chi, z_bar)
 
 
 def gaussian_linear_lambda(chi: float, phi_tilde: float, z_bar: float) -> complex:
@@ -133,65 +153,40 @@ def gaussian_linear_lambda(chi: float, phi_tilde: float, z_bar: float) -> comple
 
 def gaussian_linear_optimal(chi: float, phi_tilde: float) -> tuple[float, float, float]:
     """(Delta_p_opt, Delta_m_opt, z_bar_opt = 0)."""
-    dp, dm = gaussian_linear_closed(chi, phi_tilde, 0.0)
+    dp, dm, _ = _gaussian_optimal(gaussian_linear(phi_tilde), chi)
     return dp, dm, 0.0
 
 
 def gaussian_linear_near_earth(delta1: float, phi_tilde: float) -> tuple[float, float]:
     """Weak-field optimal overlaps to second order in delta1."""
+    c = weak_field_coefficients(gaussian_linear(phi_tilde))
     d2 = delta1 * delta1
-    return 1.0 - (1.0 + 2.0 * phi_tilde**2) * d2, 1.0 - d2
-
-
-# -- Gaussian envelope, quadratic phase ----------------------------------------
+    return 1.0 - c.c_p * d2, 1.0 - c.c_m * d2
 
 
 def gaussian_quadratic_coefficients(chi: float, phi_tilde: float,
                                     z0: float) -> tuple[float, float, float]:
-    """(xi, a1, a2) of the quadratic-phase Gaussian overlap; see module
-    docstring for the exact expressions and their provenance."""
-    if chi <= 0.0:
-        raise ValidityError(f"chi must be positive, got {chi!r}")
-    p = chi * chi - 1.0
-    q = chi**4 + 1.0
-    ph4 = phi_tilde**4
-    xi = 1.0 + 16.0 * ph4 * (chi**4 - 1.0) ** 2 / (q * q)
-    a1 = chi * chi * p * ph4 * z0 / (q * q * xi)
-    a2 = (1.0 + 16.0 * ph4) / (q * xi)
-    return xi, a1, a2
+    """(xi, a1, a2) of the quadratic-phase Gaussian overlap; see the module
+    docstring."""
+    return _gaussian_overlap(gaussian_quadratic(phi_tilde, z0), chi, chi * chi - 1.0)[:3]
 
 
 def gaussian_quadratic_closed(chi: float, phi_tilde: float, z0: float,
                               z_bar: float) -> tuple[float, float]:
     """(Delta_p, Delta_m) for the quadratic-phase Gaussian at arbitrary shift."""
-    xi, a1, a2 = gaussian_quadratic_coefficients(chi, phi_tilde, z0)
-    p = chi * chi - 1.0
-    q = chi**4 + 1.0
-    pref = _mixed_prefactor(chi)
-    dp = pref * xi**-0.25 * math.exp(
-        -4.0 * phi_tilde**4 * p * p * z0 * z0 / (q * xi)
-        - 16.0 * a1 * z_bar - 0.25 * a2 * z_bar**2)
-    dm = pref * math.exp(-z_bar**2 / (4.0 * q))
-    return dp, dm
+    return _gaussian_closed(gaussian_quadratic(phi_tilde, z0), chi, z_bar)
 
 
 def gaussian_quadratic_optimal(chi: float, phi_tilde: float,
                                z0: float) -> tuple[float, float, float]:
     """(Delta_p_opt, Delta_m_opt, z_bar_opt) with z_bar_opt = -32*a1/a2 for
     the pure state (0 for the mixed one)."""
-    xi, a1, a2 = gaussian_quadratic_coefficients(chi, phi_tilde, z0)
-    p = chi * chi - 1.0
-    q = chi**4 + 1.0
-    pref = _mixed_prefactor(chi)
-    dp = pref * xi**-0.25 * math.exp(
-        -4.0 * phi_tilde**4 * p * p * z0 * z0 / (q * xi) + 256.0 * a1 * a1 / a2)
-    return dp, pref, -32.0 * a1 / a2
+    return _gaussian_optimal(gaussian_quadratic(phi_tilde, z0), chi)
 
 
 def gaussian_quadratic_deficit_coefficient(phi_tilde: float, z0: float) -> float:
     """Coefficient c in 1 - Delta_p_opt = c*delta1^2 for the quadratic phase."""
-    ph4 = phi_tilde**4
-    return 1.0 + 16.0 * ph4 + 8.0 * ph4 * z0 * z0 / (1.0 + 16.0 * ph4)
+    return weak_field_coefficients(gaussian_quadratic(phi_tilde, z0)).c_p
 
 
 def gaussian_quadratic_near_earth(delta1: float, phi_tilde: float,
@@ -201,8 +196,9 @@ def gaussian_quadratic_near_earth(delta1: float, phi_tilde: float,
     The z0^2 term carries the 1/(1+16*phi^4) reduction from optimizing the
     shift; at this order no separate delta1^4 correction survives.
     """
+    c = weak_field_coefficients(gaussian_quadratic(phi_tilde, z0))
     d2 = delta1 * delta1
-    return 1.0 - gaussian_quadratic_deficit_coefficient(phi_tilde, z0) * d2, 1.0 - d2
+    return 1.0 - c.c_p * d2, 1.0 - c.c_m * d2
 
 
 # -- frequency comb ------------------------------------------------------------
@@ -222,6 +218,21 @@ def _theta_mean_square_index(q: float) -> float:
     return num / jacobi_theta3(q)
 
 
+def _comb_linear_weak_field(delta1: float, sigma_tilde: float, d_tilde: float,
+                            phi_tilde: float) -> tuple[float, float]:
+    """(Delta_m_opt, log(Delta_p_opt/Delta_m_opt)) of the linear-phase comb
+    in the weak field: the theta_3 ratio, then tooth width and dephasing."""
+    s2 = sigma_tilde * sigma_tilde
+    x0 = 0.5 * (s2 / (1.0 + s2)) * d_tilde * d_tilde
+    qh = math.exp(-x0 * (1.0 + s2 * delta1 * delta1))
+    dm = (1.0 - delta1 * delta1) * jacobi_theta3(qh) / jacobi_theta3(math.exp(-x0))
+    p = delta1 * (2.0 + delta1)              # chi^2 - 1 at chi = 1 + delta1
+    chi4m1 = p * (2.0 + p)
+    b = (s2 / (1.0 + s2)) * phi_tilde * d_tilde * chi4m1 / (chi4m1 + 2.0)
+    dephase = 0.5 * b * b * _theta_mean_square_index(qh)
+    return dm, -2.0 * delta1**2 * phi_tilde**2 / s2 - dephase
+
+
 def comb_linear_near_earth_optimal(delta1: float, sigma_tilde: float,
                                    d_tilde: float, phi_tilde: float
                                    ) -> tuple[float, float, float]:
@@ -232,17 +243,8 @@ def comb_linear_near_earth_optimal(delta1: float, sigma_tilde: float,
     for well-separated teeth the dephasing term vanishes and the
     pure/mixed ratio reduces to exp(-2*delta1^2*phi^2/sigma^2).
     """
-    s2 = sigma_tilde * sigma_tilde
-    x0 = 0.5 * (s2 / (1.0 + s2)) * d_tilde * d_tilde
-    q0 = math.exp(-x0)
-    qh = math.exp(-x0 * (1.0 + s2 * delta1 * delta1))
-    dm = (1.0 - delta1 * delta1) * jacobi_theta3(qh) / jacobi_theta3(q0)
-    p = delta1 * (2.0 + delta1)              # chi^2 - 1 at chi = 1 + delta1
-    chi4m1 = p * (2.0 + p)
-    b = (s2 / (1.0 + s2)) * phi_tilde * d_tilde * chi4m1 / (chi4m1 + 2.0)
-    dephase = 0.5 * b * b * _theta_mean_square_index(qh)
-    dp = dm * math.exp(-2.0 * delta1**2 * phi_tilde**2 / s2 - dephase)
-    return dp, dm, 0.0
+    dm, log_ratio = _comb_linear_weak_field(delta1, sigma_tilde, d_tilde, phi_tilde)
+    return dm * math.exp(log_ratio), dm, 0.0
 
 
 def estimate_zeta(x: float) -> float:
@@ -372,31 +374,12 @@ def relative_change(profile: Profile, delta1: float) -> float:
     oracle.
     """
     d1 = delta1
-    phi = profile.phi_tilde
-    chi = 1.0 + d1
-    p = d1 * (2.0 + d1)                      # chi^2 - 1, cancellation-free
-    q = chi**4 + 1.0
-    kind = profile.kind
-    if kind is ProfileKind.GAUSSIAN_LINEAR:
-        return math.expm1(-p * p * phi * phi / q)
-    if kind is ProfileKind.COMB_LINEAR:
-        s2 = profile.sigma_tilde**2
-        x0 = 0.5 * (s2 / (1.0 + s2)) * profile.d_tilde**2
-        qh = math.exp(-x0 * (1.0 + s2 * d1 * d1))
-        b = (s2 / (1.0 + s2)) * phi * profile.d_tilde * p * (2.0 + p) / q
-        dephase = 0.5 * b * b * _theta_mean_square_index(qh)
-        return math.expm1(-2.0 * d1 * d1 * phi * phi / s2 - dephase)
-    if kind is ProfileKind.GAUSSIAN_QUADRATIC:
-        ph4 = phi**4
-        chi4m1 = p * (2.0 + p)               # chi^4 - 1
-        xim1 = 16.0 * ph4 * chi4m1 * chi4m1 / (q * q)
-        xi = 1.0 + xim1
-        a1 = chi * chi * p * ph4 * profile.z0 / (q * q * xi)
-        a2 = (1.0 + 16.0 * ph4) / (q * xi)
-        log_ratio = (-0.25 * math.log1p(xim1)
-                     - 4.0 * ph4 * p * p * profile.z0**2 / (q * xi)
-                     + 256.0 * a1 * a1 / a2)
-        return math.expm1(log_ratio)
+    if not profile.kind.is_comb:
+        _, a1, a2, log_gap = _gaussian_overlap(profile, 1.0 + d1, d1 * (2.0 + d1))
+        return math.expm1(log_gap + 256.0 * a1 * a1 / a2)
+    if profile.kind is ProfileKind.COMB_LINEAR:
+        return math.expm1(_comb_linear_weak_field(d1, profile.sigma_tilde, profile.d_tilde,
+                                                  profile.phi_tilde)[1])
     return weak_field_optimum(profile, d1).eta
 
 
@@ -414,30 +397,37 @@ class WeakFieldCoefficients(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _envelope_moments(is_comb: bool, sigma_tilde: float, d_tilde: float,
+def _envelope_moments(sigma_tilde: float, d_tilde: float,
                       n_max: int) -> tuple[float, float, float, float]:
-    """(m2, m4, w0, w2) of the envelope f = |G| with these parameters.
-
-    Trapezoid sums on the overlap kernel's coarsest nodes over the
-    truncation domain, at whose ends f is negligible, with f' by FFT.
-    """
-    kind = ProfileKind.COMB_LINEAR if is_comb else ProfileKind.GAUSSIAN_LINEAR
-    env = Profile(kind, sigma_tilde=sigma_tilde, d_tilde=d_tilde, n_max=n_max)
-    half = env.z_extent
-    z, h = np.linspace(-half, half, int(math.ceil(2.0 * half / env.node_spacing)) + 1,
-                       retstep=True)
-    f = modulus(env, z)
-    k = 2.0 * math.pi * np.fft.rfftfreq(z.size, h)
-    df = np.fft.irfft(1j * k * np.fft.rfft(f), z.size)
-    z2, f2, df2 = z * z, f * f, df * df
-    return tuple(float(h * s) for s in (z2 @ f2, (z2 * z2) @ f2, df2.sum(), z2 @ df2))
+    """(m2, m4, w0, w2) of the comb envelope f = |G| with these parameters,
+    the Gaussian at sigma_tilde = n_max = 0, as exact tooth-pair sums (see
+    the module docstring)."""
+    s = 0.25 * sigma_tilde**2
+    alpha = 0.5 + 2.0 * s
+    v = 0.5 / alpha
+    sums = np.zeros(5)
+    # Pairs with n - m = q and n + m = p; pair -q equals pair q.  The weights
+    # fall like exp(-s*d^2*q^2/2), so the loop ends where all underflow.
+    for q in range(2 * n_max + 1):
+        p = np.arange(q - 2 * n_max, 2 * n_max - q + 1, 2, dtype=float)
+        w = np.exp(-s * d_tilde**2 * (0.5 * q * q + p * p / (4.0 * alpha)))
+        if not w.any():
+            break
+        mu2 = (s * d_tilde / alpha * p) ** 2
+        e2 = mu2 + v
+        sdq2 = (s * d_tilde * q) ** 2
+        sums += (2.0 if q else 1.0) * np.array(
+            [w.sum(), w @ e2, w @ (mu2 * (mu2 + 6.0 * v) + 3.0 * v * v),
+             (0.5 * alpha - sdq2) * w.sum(), w @ (0.5 * alpha * mu2 + 0.75 - sdq2 * e2)])
+    return tuple(float(x) for x in sums[1:] / sums[0])
 
 
 def weak_field_coefficients(profile: Profile) -> WeakFieldCoefficients:
     """(c_p, c_m, c_naive, z_rate) of `profile` from its envelope moments and
     phase slope, by the moment formula of the module docstring."""
-    m2, m4, w0, w2 = _envelope_moments(profile.kind.is_comb, profile.sigma_tilde,
-                                       profile.d_tilde, profile.n_max)
+    env = ((profile.sigma_tilde, profile.d_tilde, profile.n_max) if profile.kind.is_comb
+           else (0.0, 0.0, 0))
+    m2, m4, w0, w2 = _envelope_moments(*env)
     a, b = phase_slope(profile)
     var_p = w0 + b * b * m2
     c_m = 2.0 * w2 - 0.5

@@ -134,6 +134,8 @@ class Profile:
                 raise ValidityError(
                     f"d_tilde*sigma_tilde = {self.d_tilde * self.sigma_tilde:g} < "
                     f"{MIN_TOOTH_SEPARATION:g}; comb teeth are not well separated")
+            if not hasattr(self.n_max, "__index__"):      # what operator.index accepts
+                raise ValidityError(f"n_max must be an integer, got {self.n_max!r}")
             if not self.n_max >= 1:
                 raise ValidityError("comb profiles need n_max >= 1")
             intervals = 2.0 * self.z_extent / self.node_spacing
@@ -195,9 +197,15 @@ class Profile:
 def default_n_max(d_tilde: float) -> int:
     """Tooth truncation index that `comb` chooses when n_max is omitted."""
     # Envelope weight of tooth n is ~exp(-n^2 d^2 / 2); keep everything down
-    # to _TRUNCATION_WEIGHT with one tooth of margin.
-    n = math.sqrt(2.0 * math.log(1.0 / _TRUNCATION_WEIGHT)) / d_tilde
-    return int(math.ceil(n)) + 1
+    # to _TRUNCATION_WEIGHT with one tooth of margin.  Well-separated teeth
+    # lie >= 4*MIN_TOOTH_SEPARATION kernel nodes apart, so below d_min they
+    # cannot fit in MAX_INTERVALS; NaN fails the test too.
+    reach = math.sqrt(2.0 * math.log(1.0 / _TRUNCATION_WEIGHT))
+    d_min = 8.0 * MIN_TOOTH_SEPARATION * reach / MAX_INTERVALS
+    if not d_tilde > d_min:
+        raise ValidityError(f"d_tilde = {d_tilde:g} is below {d_min:.3g}, the smallest spacing "
+                            f"whose teeth fit in {MAX_INTERVALS} overlap-kernel intervals")
+    return int(math.ceil(reach / d_tilde)) + 1
 
 
 def gaussian_linear(phi_tilde: float, z0: float = 0.0) -> Profile:

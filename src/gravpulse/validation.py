@@ -93,8 +93,8 @@ def check_optimizer_vs_stationary_point() -> tuple[float, float]:
     chi, phi, z0 = 1.001, 0.5, 100.0
     prof = profiles.gaussian_quadratic(phi, z0=z0)
     res = optimize.maximize_shift(prof, chi)
-    _, _, z_pred = analytic.gaussian_quadratic_optimal(chi, phi, z0)
-    return _rel(res.z_bar_opt, z_pred), 1e-6
+    _, a1, a2 = analytic.gaussian_quadratic_coefficients(chi, phi, z0)
+    return _rel(res.z_bar_opt, -32.0 * a1 / a2), 1e-6
 
 
 def check_near_earth_coefficients() -> tuple[float, float]:

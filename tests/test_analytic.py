@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gravpulse import analytic
@@ -61,11 +62,14 @@ def test_quadratic_closed_vs_quadrature():
 
 
 def test_quadratic_reduces_to_linear_at_zero_phase():
+    # both at zero phase: sqrt(2)*chi/sqrt(chi^4 + 1)*exp(-z_bar^2/(4*(chi^4 + 1)))
     chi, zb = 1.04, 0.5
-    dp_q, dm_q = gaussian_quadratic_closed(chi, 0.0, 7.0, zb)
-    dp_l, dm_l = gaussian_linear_closed(chi, 0.0, zb)
-    assert dp_q == pytest.approx(dp_l, rel=1e-14)
-    assert dm_q == pytest.approx(dm_l, rel=1e-14)
+    q = chi**4 + 1.0
+    ref = math.sqrt(2.0) * chi / math.sqrt(q) * math.exp(-zb**2 / (4.0 * q))
+    for dp, dm in (gaussian_quadratic_closed(chi, 0.0, 7.0, zb),
+                   gaussian_linear_closed(chi, 0.0, zb)):
+        assert dp == pytest.approx(ref, rel=1e-14)
+        assert dm == pytest.approx(ref, rel=1e-14)
 
 
 def test_quadratic_coefficients_chi_one():
@@ -237,10 +241,16 @@ def test_relative_change_values():
 
 
 def test_relative_change_quadratic_matches_exact_ratio():
+    # the written-out xi, a1, a2 of the quadratic-phase Gaussian
     d1, phi, z0 = 1e-3, 0.8, 30.0
     eta = relative_change(gaussian_quadratic(phi, z0=z0), d1)
-    dp, dm, _ = gaussian_quadratic_optimal(1.0 + d1, phi, z0)
-    assert eta == pytest.approx(dp / dm - 1.0, rel=1e-9)
+    chi = 1.0 + d1
+    p, q, ph4 = chi * chi - 1.0, chi**4 + 1.0, phi**4
+    xi = 1.0 + 16.0 * ph4 * (chi**4 - 1.0) ** 2 / (q * q)
+    a1 = chi * chi * p * ph4 * z0 / (q * q * xi)
+    a2 = (1.0 + 16.0 * ph4) / (q * xi)
+    ratio = xi**-0.25 * math.exp(-4.0 * ph4 * p * p * z0 * z0 / (q * xi) + 256.0 * a1 * a1 / a2)
+    assert eta == pytest.approx(ratio - 1.0, rel=1e-9)
 
 
 def test_relative_change_survives_tiny_delta():
@@ -271,7 +281,10 @@ def test_weak_field_coefficients_reproduce_gaussian_closed_forms():
     assert (c.c_p, c.c_m, c.c_naive) == pytest.approx((5.5, 1.0, 5.5), rel=1e-12)
     for phi, z0 in ((0.5, 100.0), (1.5, 20.0)):
         c = weak_field_coefficients(gaussian_quadratic(phi, z0=z0))
-        assert c.c_p == pytest.approx(gaussian_quadratic_deficit_coefficient(phi, z0), rel=1e-12)
+        ph4 = phi**4
+        c_p = 1.0 + 16.0 * ph4 + 8.0 * ph4 * z0 * z0 / (1.0 + 16.0 * ph4)
+        assert c.c_p == pytest.approx(c_p, rel=1e-12)
+        assert gaussian_quadratic_deficit_coefficient(phi, z0) == pytest.approx(c_p, rel=1e-12)
         _, a1, a2 = gaussian_quadratic_coefficients(1.0 + 1e-8, phi, z0)
         assert c.z_rate == pytest.approx(-32.0 * a1 / a2 / 1e-8, rel=1e-7)
     # an unshifted profile reports +0.0, not -0.0, at negative delta1
@@ -285,3 +298,41 @@ def test_weak_field_optimum_is_the_optimizer_record():
     assert res.n_evals == 0 and res.converged
     assert res.z_bar_opt != 0.0 and res.eta < 0.0
     assert maximize_shift(gaussian_linear(1.0), 1.05).path == "numeric"
+
+
+def test_gaussian_envelope_moments_are_exact():
+    assert analytic._envelope_moments(0.0, 0.0, 0) == (1.0, 3.0, 0.25, 0.75)
+    assert weak_field_coefficients(gaussian_linear(0.0)).c_m == 1.0
+
+
+def _quadrature_moments(sigma_tilde, d_tilde):
+    """(m2, m4, w0, w2) of the comb envelope by adaptive quadrature of the
+    tooth sum and its derivative, with the teeth as breakpoints."""
+    from scipy.integrate import quad
+
+    p = comb(sigma_tilde, d_tilde)
+    s = 0.25 * sigma_tilde**2
+    teeth = np.arange(-p.n_max, p.n_max + 1) * d_tilde
+
+    def f_and_df(z):
+        g = np.exp(-0.25 * z * z - s * (z - teeth) ** 2)
+        return g.sum(), ((-0.5 * z - 2.0 * s * (z - teeth)) * g).sum()
+
+    lim = p.z_extent
+
+    def integral(fn):
+        return quad(fn, -lim, lim, points=teeth.tolist(), limit=20 * teeth.size,
+                    epsabs=0.0, epsrel=2e-14)[0]
+
+    norm = integral(lambda z: f_and_df(z)[0] ** 2)
+    return [integral(fn) / norm for fn in (
+        lambda z: z**2 * f_and_df(z)[0] ** 2, lambda z: z**4 * f_and_df(z)[0] ** 2,
+        lambda z: f_and_df(z)[1] ** 2, lambda z: z**2 * f_and_df(z)[1] ** 2)]
+
+
+@pytest.mark.parametrize("sigma_tilde, d_tilde", [(10.0, 2.0), (25.0, 0.5)])
+def test_comb_envelope_moments_match_quadrature(sigma_tilde, d_tilde):
+    p = comb(sigma_tilde, d_tilde)
+    got = analytic._envelope_moments(p.sigma_tilde, p.d_tilde, p.n_max)
+    for g, r in zip(got, _quadrature_moments(sigma_tilde, d_tilde)):
+        assert g == pytest.approx(r, rel=1e-12)

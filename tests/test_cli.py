@@ -473,6 +473,29 @@ def test_sweep_over_d_tilde_rederives_n_max(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("d_tilde", ["0", "1e-310"])
+def test_optimize_zero_or_tiny_tooth_spacing_is_config_error(tmp_path, capsys, d_tilde):
+    cfg = tmp_path / "d0.cfg"
+    cfg.write_text(EARTH_COMB_QUADRATIC.replace("d_tilde = 0.5", f"d_tilde = {d_tilde}"))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error:") and "d_tilde" in err
+
+
+def test_sweep_reaching_zero_tooth_spacing_keeps_earlier_rows(tmp_path, capsys):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(EARTH_COMB_QUADRATIC.replace("d_tilde = 0.5", "d_tilde = 2")
+                   + "sweep.param = profile.d_tilde\n"
+                   "sweep.start = 2\nsweep.stop = 0\nsweep.count = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [float(l.split(",")[0]) for l in lines[1:]] == [2.0, 1.0]
+    assert err.count("\n") == 1 and err.startswith("config error:") and "d_tilde" in err
+
+
 def test_parser_keeps_no_state_between_commands(desk_config, capsys):
     assert main(["overlap", "--config", desk_config, "--z-bar", "0.5"]) == 0
     assert "z_bar = 0.5\n" in capsys.readouterr().out

@@ -293,6 +293,20 @@ def test_finite_profile_fields_whose_sum_overflows_are_accepted():
     assert p.phase_center == 1e308
 
 
+@pytest.mark.parametrize("d_tilde", [0.0, 1e-310, -2.0, math.nan])
+def test_comb_zero_or_tiny_tooth_spacing_is_refused(d_tilde):
+    with pytest.raises(ValidityError, match="d_tilde"):
+        comb(10.0, d_tilde)
+
+
+@pytest.mark.parametrize("n_max", [6.5, 6.0, "6"])
+def test_comb_non_integer_n_max_is_refused(n_max):
+    with pytest.raises(ValidityError, match="n_max"):
+        Profile(ProfileKind.COMB_LINEAR, sigma_tilde=10.0, d_tilde=2.0, n_max=n_max)
+    assert Profile(ProfileKind.COMB_LINEAR, sigma_tilde=10.0, d_tilde=2.0,
+                   n_max=np.int64(6)).n_max == 6
+
+
 def test_comb_nan_n_max_is_refused():
     with pytest.raises(ValidityError, match="n_max"):
         Profile(ProfileKind.COMB_LINEAR, sigma_tilde=10.0, d_tilde=2.0, n_max=math.nan)
