@@ -5,9 +5,9 @@ For a linear spectral phase, the pure/mixed overlap ratio of a comb has
 two pieces: a within-tooth term exp(-2 d1^2 phi^2 / sigma^2) and an
 across-tooth dephasing term exp(-B^2 <n^2>/2) that dies off exponentially
 with spacing.  This study sweeps the spacing at fixed envelope/tooth width
-ratio and compares the weak-field formula with full quadrature at an
-exaggerated delta1, locating the crossover where the comb's 1/sigma^2
-suppression of the Gaussian penalty actually sets in.
+ratio and compares the weak-field moment formula (`relative_change`) with
+full quadrature at an exaggerated delta1, locating the crossover where the
+comb's 1/sigma^2 suppression of the Gaussian penalty actually sets in.
 
 Usage: python scripts/comb_separation_study.py [--delta1 1e-3]
 """

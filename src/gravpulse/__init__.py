@@ -7,11 +7,10 @@ and completely mixed single-photon states and their multi-photon
 extensions.
 """
 
-from .analytic import (CombQuadraticResult, comb_linear_near_earth_optimal,
-                       comb_quadratic_optimal, estimate_zeta, gaussian_linear_closed,
-                       gaussian_linear_lambda, gaussian_linear_near_earth,
-                       gaussian_linear_optimal, gaussian_quadratic_closed,
-                       gaussian_quadratic_coefficients,
+from .analytic import (comb_linear_near_earth_optimal, comb_quadratic_optimal,
+                       estimate_zeta, gaussian_linear_closed, gaussian_linear_lambda,
+                       gaussian_linear_near_earth, gaussian_linear_optimal,
+                       gaussian_quadratic_closed, gaussian_quadratic_coefficients,
                        gaussian_quadratic_deficit_coefficient,
                        gaussian_quadratic_near_earth, gaussian_quadratic_optimal,
                        relative_change)

@@ -44,7 +44,8 @@ f = |G|, Var P = w0 + b^2*m2 and Cov(K,P) = a*b*m2, and the deficits
     c_naive - c_m = 2*[a^2*m2 + b^2*(m4 - m2^2)]            (z_bar = 0)
 
 Each overlap is reported as exp(-c*delta1^2); c_naive >= c_p >= c_m >= 0
-keeps the values in (0, 1] and in order.
+keeps the values in (0, 1] and in order.  This is the one weak-field route
+for combs: `relative_change` and `comb_quadratic_optimal` both report it.
 
 The moments are exact tooth-pair sums.  Teeth n, m of the comb add to f^2
 a Gaussian in z of mean mu = s*d*(n + m)/alpha, variance 1/(2*alpha) and
@@ -54,7 +55,10 @@ Each moment is the pair sum of Gaussian moments over the pair sum for
 int f^2.  The Gaussian is the one pair s = 0, n = m = 0: (m2, m4, w0, w2) =
 (1, 3, 1/4, 3/4), so c_m = 1 and c_p = 1 + 2*a^2/(1 + 4*b^2) + 4*b^2.
 
-Comb with linear phase (z_bar_opt = 0): with x0 = (sigma^2/(1+sigma^2))*d^2/2,
+Comb with linear phase, the theta-series form of
+`comb_linear_near_earth_optimal` (z_bar_opt = 0): an approximation kept as a
+reference, about 1e-4 off the moment formula in eta/delta1^2 for
+comb(10.163, 2.0074, phi_tilde=4.035).  With x0 = (sigma^2/(1+sigma^2))*d^2/2,
 
     Delta_m_opt = (1 - delta1^2) * theta3(e^{-x0*(1+sigma^2*delta1^2)}) / theta3(e^{-x0})
     Delta_p_opt = Delta_m_opt * exp(-2*delta1^2*phi^2/sigma^2          [tooth width]
@@ -71,18 +75,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidityError
 from .optimize import OptimizationResult
-from .profiles import (Profile, ProfileKind, gaussian_linear, gaussian_quadratic,
-                       jacobi_theta3, phase_slope)
+from .profiles import (Profile, gaussian_linear, gaussian_quadratic, jacobi_theta3,
+                       phase_slope)
 
 __all__ = [
-    "CombQuadraticResult",
     "WeakFieldCoefficients",
     "gaussian_linear_closed",
     "gaussian_linear_lambda",
@@ -218,10 +220,17 @@ def _theta_mean_square_index(q: float) -> float:
     return num / jacobi_theta3(q)
 
 
-def _comb_linear_weak_field(delta1: float, sigma_tilde: float, d_tilde: float,
-                            phi_tilde: float) -> tuple[float, float]:
-    """(Delta_m_opt, log(Delta_p_opt/Delta_m_opt)) of the linear-phase comb
-    in the weak field: the theta_3 ratio, then tooth width and dephasing."""
+def comb_linear_near_earth_optimal(delta1: float, sigma_tilde: float,
+                                   d_tilde: float, phi_tilde: float
+                                   ) -> tuple[float, float, float]:
+    """(Delta_p_opt, Delta_m_opt, z_bar_opt = 0) for the linear-phase comb
+    in the weak field: the theta_3 ratio, then tooth width and dephasing;
+    see the module docstring for the expression.
+
+    For d_tilde -> 0 the theta_3 ratio reduces to 1 - sigma^2*delta1^2/2;
+    for well-separated teeth the dephasing term vanishes and the
+    pure/mixed ratio reduces to exp(-2*delta1^2*phi^2/sigma^2).
+    """
     s2 = sigma_tilde * sigma_tilde
     x0 = 0.5 * (s2 / (1.0 + s2)) * d_tilde * d_tilde
     qh = math.exp(-x0 * (1.0 + s2 * delta1 * delta1))
@@ -230,30 +239,17 @@ def _comb_linear_weak_field(delta1: float, sigma_tilde: float, d_tilde: float,
     chi4m1 = p * (2.0 + p)
     b = (s2 / (1.0 + s2)) * phi_tilde * d_tilde * chi4m1 / (chi4m1 + 2.0)
     dephase = 0.5 * b * b * _theta_mean_square_index(qh)
-    return dm, -2.0 * delta1**2 * phi_tilde**2 / s2 - dephase
-
-
-def comb_linear_near_earth_optimal(delta1: float, sigma_tilde: float,
-                                   d_tilde: float, phi_tilde: float
-                                   ) -> tuple[float, float, float]:
-    """(Delta_p_opt, Delta_m_opt, z_bar_opt = 0) for the linear-phase comb
-    in the weak field; see the module docstring for the expression.
-
-    For d_tilde -> 0 the theta_3 ratio reduces to 1 - sigma^2*delta1^2/2;
-    for well-separated teeth the dephasing term vanishes and the
-    pure/mixed ratio reduces to exp(-2*delta1^2*phi^2/sigma^2).
-    """
-    dm, log_ratio = _comb_linear_weak_field(delta1, sigma_tilde, d_tilde, phi_tilde)
-    return dm * math.exp(log_ratio), dm, 0.0
+    return dm * math.exp(-2.0 * delta1**2 * phi_tilde**2 / s2 - dephase), dm, 0.0
 
 
 def estimate_zeta(x: float) -> float:
-    """zeta(x) = x * sum_{n>=1} cosh(n*x)**-2, the order-unity constant of
-    the quadratic-phase comb optimization; the sum stops at the first term
-    below 1e-16.
+    """zeta(x) = x * sum_{n>=1} cosh(n*x)**-2; the sum stops at the first
+    term below 1e-16.
 
     The integral comparison sum ~ integral cosh(t)**-2 dt / x = 1/x predicts
-    zeta -> 1 as x -> 0.  Valid for 0 < x <= 0.3.
+    zeta -> 1 as x -> 0.  Valid for 0 < x <= 0.3.  No route of the package
+    uses it; the name stays only because the benchmark's tracer looks it
+    up, until the benchmark change of ROADMAP item 5.
     """
     if not 0.0 < x <= 0.3:
         raise ValidityError(f"zeta estimate valid for 0 < x <= 0.3, got {x!r}")
@@ -268,94 +264,11 @@ def estimate_zeta(x: float) -> float:
     return x * total
 
 
-@dataclass(frozen=True)
-class CombQuadraticResult:
-    delta_p_opt: float
-    delta_m_opt: float
-    z_bar_opt: float
-    case_tag: str
-    zeta: float
-
-
-# Case thresholds: the source regimes are only asymptotic ("phi of order
-# one" vs "phi large"), so concrete splits are needed.
-PHI_CASE_THRESHOLD = 2.0
-DELTA_Z0_SMALL_FACTOR = 10.0
-
-
-def comb_quadratic_optimal(profile: Profile, delta1: float) -> CombQuadraticResult:
-    """Weak-field optimal overlaps for the quadratic-phase comb `profile`
-    (its sigma_tilde, d_tilde, phi_tilde, z0 and delta_z0) at
-    chi = 1 + delta1.
-
-    Returns the regime-split expansions:
-
-    * case "i"     phi <= PHI_CASE_THRESHOLD:
-          Delta_p = Delta_m = 1 - delta1^2 - sigma^2*delta1^2/2
-          (independent of delta_z0)
-    * case "ii.i"  phi above threshold,
-          |delta_z0| <= DELTA_Z0_SMALL_FACTOR*delta1^2:
-          Delta_p gains +16*(phi^4/sigma^2)*delta1^2 over Delta_m
-    * case "ii.ii" otherwise: case ii.i plus the delta_z0^2*delta1^2
-          correction bracket
-
-    z_bar_opt = 8*phi^2*(delta_z0 - 4*delta1^2)*delta1/(1 + Sigma) with
-    Sigma = sigma^2/(16*zeta*d^2*phi^2); zeta is estimated from the comb
-    scale.  Raises ValidityError where a perturbative parameter
-    (phi*delta1, z0^2*delta1^2, d^2*sigma^4*delta1^2) reaches 0.1.
-
-    This case expansion does not describe the quadratic phase of
-    `profiles.comb`: for comb(13, 0.77, phi_tilde=3) it gives
-    eta/delta1^2 = +7.67 where the numeric optimizer and the moment formula
-    of `weak_field_coefficients` give -1296.  It is kept only as an oracle
-    for `gravpulse validate` (its phase-free Delta_m_opt).
-    """
-    d1 = delta1
-    phi = profile.phi_tilde
-    checks = {
-        "phi_tilde*delta1": abs(phi * d1),
-        "z0^2*delta1^2": (profile.z0 * d1) ** 2,
-        "d^2*sigma^4*delta1^2": profile.d_tilde**2 * profile.sigma_tilde**4 * d1**2,
-    }
-    for name, value in checks.items():
-        if value >= 0.1:
-            raise ValidityError(
-                f"perturbative validity violated: {name} = {value:.3e} >= 0.1")
-    s2 = profile.sigma_tilde**2
-    d2t = profile.d_tilde**2
-    dz0 = profile.delta_z0
-
-    x = 0.5 * d2t * (1.0 + s2 * d1 * d1 - 32.0 * d1 * d1 * phi**4 / s2)
-    zeta = estimate_zeta(x)
-    if zeta <= 0.0:
-        raise ValidityError(f"zeta must be positive, got {zeta:g}")
-
-    sigma_den = 16.0 * zeta * d2t * phi * phi     # 0 where phi*phi underflows
-    if phi > 0.0 and sigma_den > 0.0:
-        big_sigma = s2 / sigma_den
-        z_bar_opt = 8.0 * phi * phi * (dz0 - 4.0 * d1 * d1) * d1 / (1.0 + big_sigma)
-    else:
-        big_sigma = math.inf
-        z_bar_opt = 0.0
-
-    base = 1.0 - d1 * d1 - 0.5 * s2 * d1 * d1
-    dm = base
-    if phi <= PHI_CASE_THRESHOLD:
-        return CombQuadraticResult(base, dm, z_bar_opt, "i", zeta)
-
-    gain = 16.0 * phi**4 / s2 * d1 * d1
-    if abs(dz0) <= DELTA_Z0_SMALL_FACTOR * d1 * d1:
-        return CombQuadraticResult(base + gain, dm, z_bar_opt, "ii.i", zeta)
-
-    one_plus = 1.0 + big_sigma
-    bracket = (8.0
-               + phi * phi * one_plus
-               + zeta * d2t * s2 * one_plus
-               + s2 * s2 * phi * phi / one_plus
-               + 256.0 * d2t * s2 * phi * phi / one_plus
-               - 16.0 * zeta * d2t * s2 * phi**4)
-    correction = -8.0 * (d2t * phi * phi / one_plus) * bracket * dz0 * dz0 * d1 * d1
-    return CombQuadraticResult(base + gain + correction, dm, z_bar_opt, "ii.ii", zeta)
+def comb_quadratic_optimal(profile: Profile, delta1: float) -> OptimizationResult:
+    """`weak_field_optimum(profile, delta1)`.  The name stays only because
+    the benchmark's tracer looks it up, until the benchmark change of
+    ROADMAP item 5."""
+    return weak_field_optimum(profile, delta1)
 
 
 # -- relative change -----------------------------------------------------------
@@ -364,23 +277,16 @@ def comb_quadratic_optimal(profile: Profile, delta1: float) -> CombQuadraticResu
 def relative_change(profile: Profile, delta1: float) -> float:
     """eta = Delta_p_opt/Delta_m_opt - 1 of `profile` at chi = 1 + delta1.
 
-    Computed through expm1 on the exact log-ratio so that the delta1^2
-    scale survives down to real near-Earth magnitudes (~1e-20) where the
-    overlap values themselves round to 1.0 in double precision.  The
-    quadratic comb takes `weak_field_optimum`'s eta (second order in
-    delta1): the case expansion of `comb_quadratic_optimal` does not
-    describe the quadratic phase of `profiles.comb` (+7.67 against -1296
-    for eta/delta1^2 of comb(13, 0.77, phi_tilde=3)) and is kept only as an
-    oracle.
+    Gaussians take the exact closed form through expm1 on the log-ratio, so
+    that the delta1^2 scale survives down to real near-Earth magnitudes
+    (~1e-20) where the overlap values themselves round to 1.0 in double
+    precision.  Combs take `weak_field_optimum`'s eta, second order in
+    delta1.
     """
-    d1 = delta1
-    if not profile.kind.is_comb:
-        _, a1, a2, log_gap = _gaussian_overlap(profile, 1.0 + d1, d1 * (2.0 + d1))
-        return math.expm1(log_gap + 256.0 * a1 * a1 / a2)
-    if profile.kind is ProfileKind.COMB_LINEAR:
-        return math.expm1(_comb_linear_weak_field(d1, profile.sigma_tilde, profile.d_tilde,
-                                                  profile.phi_tilde)[1])
-    return weak_field_optimum(profile, d1).eta
+    if profile.kind.is_comb:
+        return weak_field_optimum(profile, delta1).eta
+    _, a1, a2, log_gap = _gaussian_overlap(profile, 1.0 + delta1, delta1 * (2.0 + delta1))
+    return math.expm1(log_gap + 256.0 * a1 * a1 / a2)
 
 
 # -- weak-field optimum per profile --------------------------------------------

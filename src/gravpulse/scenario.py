@@ -214,8 +214,9 @@ def parse_scenario(text: str) -> Scenario:
                 n_max=_pop_int(pairs, "profile.n_max"), z0=z0)
     except ValidityError as exc:
         raise ConfigError(str(exc)) from exc
-    for stale in ("profile.sigma_tilde", "profile.d_tilde", "profile.delta_z0",
-                  "profile.n_max"):
+    comb_only = ("profile.sigma_tilde", "profile.d_tilde", "profile.delta_z0",
+                 "profile.n_max")
+    for stale in comb_only:
         if stale in pairs:
             raise ConfigError(f"{stale} is only valid for comb profiles")
 
@@ -240,6 +241,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError("sweep needs sweep.param, sweep.start, sweep.stop, sweep.count")
         sweep = SweepSpec(param=param, start=start, stop=stop, count=count,
                           scale=pairs.pop("sweep.scale", "linear"))
+        if not kind.is_comb and param in comb_only:
+            raise ConfigError(f"{param} is only valid for comb profiles")
 
     if pairs:
         raise ConfigError(f"unrecognized keys: {', '.join(sorted(pairs))}")

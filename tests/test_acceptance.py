@@ -7,6 +7,7 @@ precision, so the criteria combine exaggerated-redshift reproduction of
 the closed forms with scaling checks of the weak-field expansions.
 """
 
+import dataclasses
 import math
 import time
 
@@ -285,13 +286,11 @@ def test_criterion_12_mutation_sensitivity(monkeypatch):
         return orig_rc(profile, d1) * (1.0 + 1e-3)
     mutations.append(("relative_change", mutated_rc))
 
-    orig_cq = analytic.comb_quadratic_optimal
-    def mutated_cq(profile, d1):
-        res = orig_cq(profile, d1)
-        return analytic.CombQuadraticResult(
-            res.delta_p_opt, res.delta_m_opt * (1.0 + 1e-3),
-            res.z_bar_opt, res.case_tag, res.zeta)
-    mutations.append(("comb_quadratic_optimal", mutated_cq))
+    orig_wfo = analytic.weak_field_optimum
+    def mutated_wfo(profile, d1):
+        res = orig_wfo(profile, d1)
+        return dataclasses.replace(res, delta_m_opt=res.delta_m_opt * (1.0 + 1e-3))
+    mutations.append(("weak_field_optimum", mutated_wfo))
 
     orig_wf = analytic.weak_field_coefficients
     def mutated_wf(profile):

@@ -180,53 +180,6 @@ def test_estimate_zeta():
         estimate_zeta(0.5)
 
 
-def _cq(phi, delta_z0, delta1=1e-3):
-    return comb_quadratic_optimal(comb(25.0, 0.4, phi, "quadratic", delta_z0), delta1)
-
-
-def test_comb_quadratic_cases(monkeypatch):
-    # case i: independent of delta_z0
-    r1 = _cq(1.0, 0.0)
-    r2 = _cq(1.0, 0.5)
-    assert r1.case_tag == r2.case_tag == "i"
-    assert r1.delta_p_opt == r2.delta_p_opt
-    expected = 1.0 - 1e-6 - 0.5 * 625.0 * 1e-6
-    assert r1.delta_p_opt == pytest.approx(expected, rel=1e-12)
-    assert r1.delta_m_opt == r1.delta_p_opt
-
-    # case ii.i: pure state gains 16 phi^4/sigma^2 * d1^2 over the mixed one
-    r3 = _cq(10.0, 0.0)
-    assert r3.case_tag == "ii.i"
-    gain = 16.0 * 10.0**4 / 625.0 * 1e-6
-    assert r3.delta_p_opt - r3.delta_m_opt == pytest.approx(gain, rel=1e-12)
-
-    # case ii.ii reduces to ii.i as delta_z0 -> nu*d1^2
-    r4 = _cq(10.0, 1.0)
-    assert r4.case_tag == "ii.ii"
-    monkeypatch.setattr(analytic, "DELTA_Z0_SMALL_FACTOR", 0.0)
-    r5 = _cq(10.0, 1.0)
-    r6 = _cq(10.0, 2e-6)
-    assert r6.case_tag == "ii.ii"
-    # the residual delta_z0^2 correction is O(d1^6 * nu^2), far below the
-    # O(d1^2) terms the case formulas keep
-    assert r6.delta_p_opt == pytest.approx(r3.delta_p_opt, abs=1e-8)
-    assert r5.delta_p_opt != r3.delta_p_opt
-
-
-def test_comb_quadratic_shift_formula():
-    r = _cq(10.0, 0.5)
-    zeta = estimate_zeta(0.5 * 0.16 * (1.0 + 625.0e-6 - 32.0e-6 * 1e4 / 625.0))
-    assert r.zeta == pytest.approx(zeta, rel=1e-12)
-    big_sigma = 625.0 / (16.0 * zeta * 0.16 * 100.0)
-    expected = 8.0 * 100.0 * (0.5 - 4e-6) * 1e-3 / (1.0 + big_sigma)
-    assert r.z_bar_opt == pytest.approx(expected, rel=1e-12)
-
-
-def test_comb_quadratic_validity():
-    with pytest.raises(ValidityError):
-        _cq(10.0, 0.0, delta1=0.1)
-
-
 def test_relative_change_values():
     d1 = 1e-3
     assert relative_change(gaussian_linear(0.0), d1) == 0.0
@@ -261,6 +214,15 @@ def test_relative_change_survives_tiny_delta():
     assert eta_q == pytest.approx(-coeff * 1e-20, rel=1e-5, abs=0.0)
 
 
+def test_relative_change_comb_linear_matches_numeric_fit():
+    # eta/delta1^2 = -(c_p - c_m) of the numeric Richardson fit; the theta
+    # series form of comb_linear_near_earth_optimal is ~1e-4 off here.
+    prof = comb(10.163, 2.0074, phi_tilde=4.035)
+    d1 = 2.3e-10
+    ref = numeric_weak_field_coefficients(prof)
+    assert relative_change(prof, d1) / d1**2 == pytest.approx(-(ref.c_p - ref.c_m), rel=1e-6)
+
+
 def test_relative_change_comb_quadratic_survives_tiny_delta():
     # eta/delta1^2 = -(c_p - c_m) from the numeric Richardson fit, while both
     # overlaps round to 1 in double precision.
@@ -272,8 +234,11 @@ def test_relative_change_comb_quadratic_survives_tiny_delta():
 
 def test_comb_quadratic_subnormal_phi_is_unshifted():
     # phi*phi underflows to 0: no shift, rather than a division by zero.
-    res = comb_quadratic_optimal(comb(20.0, 0.5, 5e-324, "quadratic"), 1e-10)
-    assert res.z_bar_opt == 0.0 and res.case_tag == "i"
+    prof = comb(20.0, 0.5, 5e-324, "quadratic")
+    res = weak_field_optimum(prof, 1e-10)
+    assert res.z_bar_opt == 0.0 and math.copysign(1.0, res.z_bar_opt) == 1.0
+    assert all(map(math.isfinite, (res.delta_p_opt, res.delta_m_opt, res.naive_delta_p)))
+    assert comb_quadratic_optimal(prof, 1e-10) == res
 
 
 def test_weak_field_coefficients_reproduce_gaussian_closed_forms():

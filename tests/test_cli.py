@@ -496,6 +496,16 @@ def test_sweep_reaching_zero_tooth_spacing_keeps_earlier_rows(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("config error:") and "d_tilde" in err
 
 
+def test_comb_only_sweep_on_gaussian_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(DESK + "sweep.param = profile.sigma_tilde\nsweep.start = 10\n"
+                   "sweep.stop = 20\nsweep.count = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: profile.sigma_tilde is only valid for comb profiles\n"
+
+
 def test_parser_keeps_no_state_between_commands(desk_config, capsys):
     assert main(["overlap", "--config", desk_config, "--z-bar", "0.5"]) == 0
     assert "z_bar = 0.5\n" in capsys.readouterr().out

@@ -115,6 +115,15 @@ def test_parse_errors(bad, msg):
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize("param", ["profile.sigma_tilde", "profile.d_tilde",
+                                   "profile.delta_z0"])
+def test_comb_only_sweep_on_gaussian_is_refused(param):
+    # the swept key would be dropped from every row's Gaussian profile
+    text = BASIC + f"sweep.param = {param}\nsweep.start = 10\nsweep.stop = 20\nsweep.count = 3\n"
+    with pytest.raises(ConfigError, match=f"{param} is only valid for comb profiles"):
+        parse_scenario(text)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_scenario(BASIC + "profile.phi_tilde = 3\n")
