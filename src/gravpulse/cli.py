@@ -30,6 +30,8 @@ __all__ = ["main"]
 
 CSV_HEADER = ("param,chi,delta1,z_bar_opt,delta_omega_opt_rad_s,"
               "delta_p_opt,delta_m_opt,eta,naive_delta_p,n_evals")
+# _fmt on the nine float columns, str on n_evals
+CSV_ROW = ",".join(["%.17g"] * 9 + ["%d"])
 
 # Below this |delta1| the deficits 1 - Delta (~delta1^2) fall under the numeric
 # optimizer's 1e-13 resolution, so optimize and sweep use the weak-field forms.
@@ -163,14 +165,13 @@ def _analytic_prediction(prof: Profile, chi: float) -> tuple[float, float, float
     return None
 
 
-def _optimum(sc: Scenario, tol: float
+def _optimum(sc: Scenario, rf: RedshiftFactor, tol: float
              ) -> tuple[float, float, float, OptimizationResult, str | None]:
-    """(chi, delta1, delta_omega_opt, record, warning) for `sc`: the record
+    """(chi, delta1, delta_omega_opt, record, warning) for `sc` at `rf`: the record
     comes from the weak-field expressions below ANALYTIC_FALLBACK_DELTA1 and
     from the numeric optimizer otherwise, whose flat-scan warning, if any,
     is returned.  delta_omega_opt = (sigma/chi^2)*(z_bar_opt - (chi^2 - 1)*z0)
     in rad/s, with chi^2 - 1 formed from the exact chi - 1."""
-    rf = _redshift(sc)
     chi, d1, delta = rf.chi, rf.delta1, rf.delta
     warning = None
     if abs(d1) < ANALYTIC_FALLBACK_DELTA1:        # NaN (bare chi) compares false
@@ -188,7 +189,7 @@ def _optimum(sc: Scenario, tol: float
 
 
 def cmd_optimize(sc: Scenario, tol: float, out) -> int:
-    chi, _, domega, res, warning = _optimum(sc, tol)
+    chi, _, domega, res, warning = _optimum(sc, _redshift(sc), tol)
     if warning is not None:
         print(f"warning: {warning} (try --chi to exaggerate the redshift)", file=sys.stderr)
     print(f"chi = {_fmt(chi)}", file=out)
@@ -209,33 +210,31 @@ def cmd_optimize(sc: Scenario, tol: float, out) -> int:
     return EXIT_OK
 
 
-def _sweep_row(sc: Scenario, value: float, tol: float) -> str:
+def _sweep_row(sc: Scenario, rf: RedshiftFactor, value: float, tol: float) -> str:
     if sc.photons is not None and sc.sweep.param == "photons.n_mean":
-        rf = _redshift(sc)
-        chi, d1 = rf.chi, rf.delta1
-        base = evaluate_overlap(sc.profile, chi, 0.0, tol=tol)
+        base = evaluate_overlap(sc.profile, rf.chi, 0.0, tol=tol)
         dp = _photon_delta_p(sc.photons, base)
         dm = base.delta_m
-        eta = dp / dm - 1.0
-        row = (value, chi, d1, 0.0, float("nan"), dp, dm, eta, base.delta_p, 0)
-    else:
-        chi, d1, domega, res, _ = _optimum(sc, tol)
-        row = (value, chi, d1, res.z_bar_opt, domega, res.delta_p_opt, res.delta_m_opt,
-               res.eta, res.naive_delta_p, res.n_evals)
-    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+        return CSV_ROW % (value, rf.chi, rf.delta1, 0.0, math.nan, dp, dm, dp / dm - 1.0,
+                          base.delta_p, 0)
+    chi, d1, domega, res, _ = _optimum(sc, rf, tol)
+    return CSV_ROW % (value, chi, d1, res.z_bar_opt, domega, res.delta_p_opt,
+                      res.delta_m_opt, res.eta, res.naive_delta_p, res.n_evals)
 
 
 def cmd_sweep(sc: Scenario, tol: float, out) -> int:
     """Write the CSV one row at a time.  Nothing is written until the first
     row is computed; a later row that fails leaves the header and the rows
-    before it written."""
+    before it written.  The redshift is built once unless chi is swept."""
     if sc.sweep is None:
         raise ConfigError("sweep command needs a sweep section in the scenario")
-    rows = (_sweep_row(sc.with_param(sc.sweep.param, v), v, tol)
-            for v in sc.sweep.values())
-    print(CSV_HEADER, next(rows), sep="\n", file=out)
-    for row in rows:
-        print(row, file=out)
+    param, rf, header = sc.sweep.param, None, CSV_HEADER + "\n"
+    for value in sc.sweep.values():
+        row_sc = sc.with_param(param, value)
+        if rf is None or param == "spacetime.chi":
+            rf = _redshift(row_sc)
+        print(header + _sweep_row(row_sc, rf, value, tol), file=out)
+        header = ""
     return EXIT_OK
 
 

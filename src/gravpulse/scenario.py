@@ -14,17 +14,18 @@ ignored.  Recognized keys:
     photons.n_mean
     sweep.param, sweep.start, sweep.stop, sweep.count, sweep.scale
 
-Exactly one of the radii pair or the chi override must be present.  When
-profile.z0 is omitted it defaults to omega0/sigma from the frame.  When a
-comb's profile.n_max is omitted it is derived from profile.d_tilde, again
-for every row of a d_tilde sweep.
+Exactly one of the radii pair or the chi override must be present.  The
+keys sigma_tilde, d_tilde and n_max are for combs only, delta_z0 for
+comb_quadratic only.  When profile.z0 is omitted it defaults to omega0/sigma
+from the frame.  When a comb's profile.n_max is omitted it is derived from
+profile.d_tilde, again for every row of a d_tilde sweep.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError, ValidityError
@@ -105,20 +106,26 @@ class Scenario:
             raise ConfigError(f"chi override must be positive, got {self.chi_override!r}")
 
     def with_param(self, param: str, value: float) -> "Scenario":
-        """Scenario with one sweepable parameter replaced."""
+        """Scenario with one sweepable parameter replaced.  The constructors
+        validate every row and cost less than `dataclasses.replace`."""
+        p, photons, spacetime, chi = self.profile, self.photons, self.spacetime, self.chi_override
+        fields = {"phi_tilde": p.phi_tilde, "z0": p.z0, "sigma_tilde": p.sigma_tilde,
+                  "d_tilde": p.d_tilde, "delta_z0": p.delta_z0, "n_max": p.n_max}
         section, key = param.split(".", 1)
-        if section == "profile":
-            changes = {key: value}
+        if section == "profile" and key in fields:
+            fields[key] = value
             if key == "d_tilde" and self.auto_n_max:
-                changes["n_max"] = default_n_max(value)
-            return replace(self, profile=replace(self.profile, **changes))
-        if param == "photons.n_mean":
-            if self.photons is None:
+                fields["n_max"] = default_n_max(value)
+            p = Profile(p.kind, **fields)
+        elif param == "photons.n_mean":
+            if photons is None:
                 raise ConfigError("photons.n_mean sweep needs a photons section")
-            return replace(self, photons=PhotonStatistics(self.photons.kind, value))
-        if param == "spacetime.chi":
-            return replace(self, spacetime=None, chi_override=value)
-        raise ConfigError(f"cannot sweep {param!r}")
+            photons = PhotonStatistics(photons.kind, value)
+        elif param == "spacetime.chi":
+            spacetime, chi = None, value
+        else:
+            raise ConfigError(f"cannot sweep {param!r}")
+        return Scenario(self.frame, p, spacetime, chi, photons, self.sweep, self.auto_n_max)
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -161,6 +168,19 @@ def _pop_int(pairs: dict[str, str], key: str, default: int | None = None) -> int
         raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
 
 
+_COMB_ONLY = ("profile.sigma_tilde", "profile.d_tilde", "profile.delta_z0", "profile.n_max")
+
+
+def _refuse_foreign_keys(kind: ProfileKind, keys: list[str]) -> None:
+    """Refuse the keys a `kind` profile would drop: comb keys on a Gaussian,
+    delta_z0 on a linear comb."""
+    for key in keys:
+        if key in _COMB_ONLY and not kind.is_comb:
+            raise ConfigError(f"{key} is only valid for comb profiles")
+        if key == "profile.delta_z0" and kind is not ProfileKind.COMB_QUADRATIC:
+            raise ConfigError(f"{key} is only valid for comb_quadratic profiles")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario file; raises ConfigError on any problem."""
     pairs = _parse_pairs(text)
@@ -196,6 +216,7 @@ def parse_scenario(text: str) -> Scenario:
     phi = _pop_float(pairs, "profile.phi_tilde", 0.0)
     z0 = _pop_float(pairs, "profile.z0", frame.z0)
     auto_n_max = kind.is_comb and "profile.n_max" not in pairs
+    _refuse_foreign_keys(kind, [key for key in _COMB_ONLY if key in pairs])
     try:
         if kind is ProfileKind.GAUSSIAN_LINEAR:
             profile = gaussian_linear(phi, z0=z0)
@@ -214,11 +235,6 @@ def parse_scenario(text: str) -> Scenario:
                 n_max=_pop_int(pairs, "profile.n_max"), z0=z0)
     except ValidityError as exc:
         raise ConfigError(str(exc)) from exc
-    comb_only = ("profile.sigma_tilde", "profile.d_tilde", "profile.delta_z0",
-                 "profile.n_max")
-    for stale in comb_only:
-        if stale in pairs:
-            raise ConfigError(f"{stale} is only valid for comb profiles")
 
     photons = None
     if "photons.kind" in pairs or "photons.n_mean" in pairs:
@@ -241,8 +257,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError("sweep needs sweep.param, sweep.start, sweep.stop, sweep.count")
         sweep = SweepSpec(param=param, start=start, stop=stop, count=count,
                           scale=pairs.pop("sweep.scale", "linear"))
-        if not kind.is_comb and param in comb_only:
-            raise ConfigError(f"{param} is only valid for comb profiles")
+        _refuse_foreign_keys(kind, [param])
 
     if pairs:
         raise ConfigError(f"unrecognized keys: {', '.join(sorted(pairs))}")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gravpulse import cli
 from gravpulse.analytic import relative_change
 from gravpulse.cli import CSV_HEADER, main
 from gravpulse.optimize import SCAN_POINTS
@@ -506,6 +507,50 @@ def test_comb_only_sweep_on_gaussian_is_config_error(tmp_path, capsys):
     assert err == "config error: profile.sigma_tilde is only valid for comb profiles\n"
 
 
+def test_delta_z0_sweep_on_linear_comb_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(DESK.replace("gaussian_linear", "comb_linear")
+                   + "profile.sigma_tilde = 10\nprofile.d_tilde = 2\n"
+                     "sweep.param = profile.delta_z0\nsweep.start = 0\n"
+                     "sweep.stop = 20\nsweep.count = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: profile.delta_z0 is only valid for comb_quadratic "
+                   "profiles\n")
+
+
+def _fmt_join(values):
+    return ",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in values)
+
+
+def test_csv_row_template_matches_the_per_field_join():
+    row = (math.nan, math.inf, -0.0, -math.inf, 1e16, 0.1, 5e-324, -1.4e-10, 2.0, 207)
+    assert cli.CSV_ROW % row == _fmt_join(row) == \
+        "nan,inf,-0,-inf,10000000000000000,0.10000000000000001,4.9406564584124654e-324," \
+        "-1.4000000000000001e-10,2,207"
+
+
+@pytest.mark.parametrize("config, column, check", [
+    (DESK, 2, math.isnan),                                       # delta1 of a bare chi
+    (DESK + "photons.kind = coherent\nphotons.n_mean = 1\n", 4, math.isnan),   # delta_omega
+    (_leo("gaussian_quadratic", 1.5), 2, lambda d1: d1 < 0.0),  # weak-field delta1
+], ids=["bare_chi", "photon_n_mean", "weak_field"])
+def test_sweep_rows_are_the_per_field_fmt_join(config, column, check, tmp_path):
+    param = "photons.n_mean" if "photons" in config else "profile.phi_tilde"
+    path = tmp_path / "s.cfg"
+    path.write_text(config + f"sweep.param = {param}\nsweep.start = 1\n"
+                             "sweep.stop = 2\nsweep.count = 3\n")
+    rc, out, _ = _call(["sweep", "--config", str(path)])
+    rows = out.splitlines()[1:]
+    assert rc == 0 and len(rows) == 3
+    for row in rows:
+        # %.17g round-trips a double, so the parsed fields are the row's values
+        fields = row.split(",")
+        values = [float(f) for f in fields[:-1]] + [int(fields[-1])]
+        assert row == _fmt_join(values) and check(values[column])
+
+
 def test_parser_keeps_no_state_between_commands(desk_config, capsys):
     assert main(["overlap", "--config", desk_config, "--z-bar", "0.5"]) == 0
     assert "z_bar = 0.5\n" in capsys.readouterr().out
@@ -673,7 +718,7 @@ def test_redshift_kappa_uses_exact_delta(tmp_path):
     assert float(_values(out_o)["delta_omega_opt"]) == pytest.approx(-kw, rel=1e-12, abs=0.0)
 
 
-def test_log_chi_runs_once_per_command_and_sweep_row(tmp_path, monkeypatch):
+def test_log_chi_runs_once_per_command_and_sweep(tmp_path, monkeypatch):
     from gravpulse import spacetime
     calls = []
     log_chi = spacetime._log_chi
@@ -682,12 +727,21 @@ def test_log_chi_runs_once_per_command_and_sweep_row(tmp_path, monkeypatch):
     path.write_text(_leo("gaussian_quadratic", 1.5)
                     + "sweep.param = profile.phi_tilde\nsweep.start = 0\n"
                       "sweep.stop = 2\nsweep.count = 7\n")
+    chi_path = tmp_path / "leo_chi.cfg"
+    chi_path.write_text(_leo("gaussian_linear", 1.5)
+                        + "sweep.param = spacetime.chi\nsweep.start = 1.001\n"
+                          "sweep.stop = 1.002\nsweep.count = 3\n")
+    # A sweep builds its redshift once; a chi sweep sets chi on every row
+    # and never evaluates the geometry.
     for argv, expected in ((["redshift"], 1), (["overlap"], 1), (["optimize"], 1),
                            (["purity", "--bins", "1024"], 1), (["dump-config"], 0),
-                           (["sweep"], 7)):
+                           (["sweep"], 1)):
         calls.clear()
         rc, _, _ = _call([*argv, "--config", str(path)])
         assert rc == 0 and len(calls) == expected, argv
+    calls.clear()
+    rc, out, _ = _call(["sweep", "--config", str(chi_path)])
+    assert rc == 0 and len(out.splitlines()) == 4 and len(calls) == 0
     calls.clear()
     assert _call(["optimize", "--preset", "earth-leo"])[0] == 0 and len(calls) == 1
 

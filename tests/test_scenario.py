@@ -124,6 +124,22 @@ def test_comb_only_sweep_on_gaussian_is_refused(param):
         parse_scenario(text)
 
 
+LINEAR_COMB = BASIC.replace("gaussian_linear", "comb_linear") + (
+    "profile.sigma_tilde = 10\nprofile.d_tilde = 2\n")
+DELTA_Z0_SWEEP = ("sweep.param = profile.delta_z0\nsweep.start = 0\nsweep.stop = 20\n"
+                  "sweep.count = 3\n")
+
+
+@pytest.mark.parametrize("extra", ["profile.delta_z0 = 0.5\n", DELTA_Z0_SWEEP])
+def test_delta_z0_on_linear_comb_is_refused(extra):
+    # only the quadratic comb's phase reads delta_z0
+    with pytest.raises(ConfigError,
+                       match="profile.delta_z0 is only valid for comb_quadratic profiles"):
+        parse_scenario(LINEAR_COMB + extra)
+    quad = parse_scenario(LINEAR_COMB.replace("comb_linear", "comb_quadratic") + extra)
+    assert quad.profile.kind is ProfileKind.COMB_QUADRATIC
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_scenario(BASIC + "profile.phi_tilde = 3\n")
