@@ -124,37 +124,47 @@ def _check_inputs(chi: float, tol: float, z_bar):
 # nodes would otherwise allow ~1.4 M entries (about 250 MB).
 _NODE_MEMO_CAP = 2**15
 
-# Integrands of the point quadratures at one node, from complex(weight, dpsi):
-# the weight f(chi*z + z_bar)*f(z/chi) and the phase difference packed in one
-# 32-byte object (a tuple of two floats takes 104 bytes).
-_INTEGRANDS = {
-    "re": lambda node: node.real * math.cos(node.imag),
-    "im": lambda node: node.real * math.sin(node.imag),
-    "mixed": lambda node: node.real,
-}
-
 
 def _shared_node_quad(node: Callable[[float], complex], lo: float, hi: float,
                       pts: list[float] | None, tol: float,
                       parts: tuple[str, ...]) -> tuple[float, ...]:
-    """One quad integral over [lo, hi] per name in `parts` (keys of
-    _INTEGRANDS) of node(z) = complex(weight, phase difference).
+    """One quad integral over [lo, hi] per name in `parts` ("re", "im",
+    "mixed") of node(z) = complex(weight, dpsi): Re and Im of
+    weight*exp(i*dpsi), and the weight alone.
 
     The integrals visit the same Gauss-Kronrod nodes, so `node` is
-    evaluated once per distinct node and shared.
+    evaluated once per distinct node and shared.  A node is kept as one
+    32-byte complex (a tuple of two floats takes 104 bytes).
     """
     memo: dict[float, complex] = {}
+    get, cap, cos, sin = memo.get, _NODE_MEMO_CAP, math.cos, math.sin
 
-    def cached(z: float) -> complex:
-        value = memo.get(z)
-        if value is None:
-            value = node(z)
-            if len(memo) < _NODE_MEMO_CAP:
-                memo[z] = value
+    def miss(z: float) -> complex:
+        value = node(z)
+        if len(memo) < cap:
+            memo[z] = value
         return value
 
-    return tuple(_quad(lambda z, f=_INTEGRANDS[part]: f(cached(z)), lo, hi, pts, tol)
-                 for part in parts)
+    def re(z: float) -> float:
+        value = get(z)
+        if value is None:
+            value = miss(z)
+        return value.real * cos(value.imag)
+
+    def im(z: float) -> float:
+        value = get(z)
+        if value is None:
+            value = miss(z)
+        return value.real * sin(value.imag)
+
+    def mixed(z: float) -> float:
+        value = get(z)
+        if value is None:
+            value = miss(z)
+        return value.real
+
+    integrands = {"re": re, "im": im, "mixed": mixed}
+    return tuple(_quad(integrands[part], lo, hi, pts, tol) for part in parts)
 
 
 def _point_integrals(profile: Profile, chi: float, z_bar: float, tol: float,
@@ -166,10 +176,22 @@ def _point_integrals(profile: Profile, chi: float, z_bar: float, tol: float,
     if lo >= hi:
         return (0.0,) * len(parts)
     pts = _breakpoints(profile, chi, z_bar, lo, hi)
+    # The weight calls the profile's bound scalar modulus twice; the phase is
+    # phase_difference's arithmetic, in its order, with the constants of this
+    # (profile, chi, z_bar) hoisted.
+    f = profile.scalar_modulus
+    a = chi - 1.0 / chi
+    if profile.kind.has_quadratic_phase:
+        k, b, two_c = -profile.phi_tilde**2, chi + 1.0 / chi, 2.0 * profile.phase_center
 
-    def node(z: float) -> complex:
-        return complex(modulus(profile, chi * z + z_bar) * modulus(profile, z / chi),
-                       phase_difference(profile, chi, z_bar, z))
+        def node(z: float) -> complex:
+            diff = a * z + z_bar
+            return complex(f(chi * z + z_bar) * f(z / chi), k * diff * (b * z + z_bar + two_c))
+    else:
+        k = -profile.phi_tilde
+
+        def node(z: float) -> complex:
+            return complex(f(chi * z + z_bar) * f(z / chi), k * (a * z + z_bar))
 
     return _shared_node_quad(node, lo, hi, pts, tol, parts)
 
@@ -294,6 +316,7 @@ def _node_sums(profile: Profile, chi: float, z_bars: np.ndarray, nodes: np.ndarr
         np.sin(dpsi, out=dpsi)
         dpsi *= weight
         lam.imag[s:s + rows] = dpsi.sum(axis=1)
+        del weight, dpsi      # freed before the next chunk's modulus allocates its own
     return lam, dm
 
 

@@ -25,6 +25,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -181,6 +182,42 @@ class Profile:
         return tuple(teeth.tolist())
 
     @functools.cached_property
+    def scalar_modulus(self) -> Callable[[float], float]:
+        """|F(z)| of one float z, with the profile's constants bound once:
+        the one scalar code path of `modulus`, `evaluate` and `normalization`,
+        called directly at every node of a point quadrature."""
+        exp = math.exp
+        if not self.kind.is_comb:
+            norm = _GAUSS_NORM
+            return lambda z: norm * exp(-0.25 * z ** 2)
+        c = self.norm_constant
+        s2over4 = 0.25 * self.sigma_tilde**2
+        reach = math.sqrt(60.0 / s2over4)
+        d, n, teeth = self.d_tilde, self.n_max, self._teeth
+        floor, ceil, isfinite = math.floor, math.ceil, math.isfinite
+
+        def comb_modulus(z: float) -> float:
+            acc = 0.0
+            if isfinite(z):
+                # Only teeth within `reach` of z can have e < 60.  Visit that
+                # index window, rounded outwards, in ascending order: the same
+                # terms are summed in the same order as over all teeth.  (Two
+                # tests cost less than two max() calls.)
+                lo = floor((z - reach) / d) + n
+                hi = ceil((z + reach) / d) + n + 1
+                if lo < 0:
+                    lo = 0
+                if hi < 0:
+                    hi = 0
+                for t in teeth[lo:hi]:
+                    e = s2over4 * (z - t) ** 2
+                    if e < 60.0:
+                        acc += exp(-e)
+            return c * exp(-0.25 * z * z) * acc
+
+        return comb_modulus
+
+    @functools.cached_property
     def norm_constant(self) -> float:
         if not self.kind.is_comb:
             return _GAUSS_NORM
@@ -272,43 +309,40 @@ def comb_tooth_positions(profile: Profile) -> np.ndarray:
 def modulus(profile: Profile, z):
     """|F(z)|; accepts scalars or arrays and matches the input shape."""
     # isinstance first: np.ndim costs more than a scalar Gaussian evaluation.
-    scalar = isinstance(z, float) or np.ndim(z) == 0
-    if not profile.kind.is_comb:
-        if scalar:
-            return _GAUSS_NORM * math.exp(-0.25 * float(z) ** 2)
-        z = np.asarray(z, dtype=float)
-        return _GAUSS_NORM * np.exp(-0.25 * z * z)
-    c = profile.norm_constant
-    s2over4 = 0.25 * profile.sigma_tilde**2
-    teeth = profile._teeth
-    if scalar:
-        zf = float(z)
-        acc = 0.0
-        if math.isfinite(zf):
-            # Only teeth within `reach` of z can have e < 60.  Visit that
-            # index window, rounded outwards, in ascending order: the same
-            # terms are summed in the same order as over all teeth.
-            reach = math.sqrt(60.0 / s2over4)
-            d, n = profile.d_tilde, profile.n_max
-            lo = max(math.floor((zf - reach) / d) + n, 0)
-            hi = max(math.ceil((zf + reach) / d) + n + 1, 0)
-            for t in teeth[lo:hi]:
-                e = s2over4 * (zf - t) ** 2
-                if e < 60.0:
-                    acc += math.exp(-e)
-        return c * math.exp(-0.25 * zf * zf) * acc
+    if isinstance(z, float) or np.ndim(z) == 0:
+        return profile.scalar_modulus(float(z))
     z = np.asarray(z, dtype=float)
-    tooth_sum = np.zeros_like(z)
-    term = np.empty_like(z)
-    for t in teeth:
-        np.subtract(z, t, out=term)
-        term *= term
-        term *= -s2over4
-        tooth_sum += np.exp(term, out=term)
-    np.multiply(z, z, out=term)
+    if not profile.kind.is_comb:
+        return _GAUSS_NORM * np.exp(-0.25 * z * z)
+    # Each element sums 2w + 1 teeth in ascending order from its own lowest
+    # index m, leaving out e >= 60 as the scalar loop does.  A tooth more than
+    # k = ceil(reach/d) indices from rint(z/d) lies further than
+    # (k + 1/2)*d > reach from z, so with w = min(k, n) and m = rint(z/d) - w
+    # moved inside [-n, n - 2w] the window holds every term that a sum over
+    # all teeth adds, in the same order.
+    s2over4 = 0.25 * profile.sigma_tilde**2
+    d, n = profile.d_tilde, profile.n_max
+    w = min(math.ceil(math.sqrt(60.0 / s2over4) / d), n)
+    with np.errstate(over="ignore"):      # |z| near 1e300 squares to inf
+        m = np.divide(z, d)
+        np.rint(m, out=m)
+        m -= w
+        np.clip(m, -n, n - 2 * w, out=m)
+        tooth_sum = np.zeros_like(z)
+        term = np.empty_like(z)
+        near = np.empty(z.shape, dtype=bool)
+        for _ in range(2 * w + 1):
+            np.multiply(m, d, out=term)
+            np.subtract(z, term, out=term)
+            term *= term
+            term *= -s2over4
+            np.greater(term, -60.0, out=near)
+            np.add(tooth_sum, np.exp(term, out=term), out=tooth_sum, where=near)
+            m += 1.0
+        np.multiply(z, z, out=term)
     term *= -0.25
     tooth_sum *= np.exp(term, out=term)
-    tooth_sum *= c
+    tooth_sum *= profile.norm_constant
     return tooth_sum
 
 
@@ -365,7 +399,8 @@ def normalization(profile: Profile) -> float:
 
     lim = profile.z_extent
     pts = list(profile._teeth) if profile.kind.is_comb else None
-    val, err = quad(lambda x: modulus(profile, x) ** 2, -lim, lim,
+    f = profile.scalar_modulus
+    val, err = quad(lambda x: f(x) ** 2, -lim, lim,
                     epsabs=1e-12, epsrel=1e-12,
                     limit=max(200, 20 * (len(pts) if pts else 1)), points=pts)
     if err > 1e-10:

@@ -113,6 +113,8 @@ class Scenario:
                   "d_tilde": p.d_tilde, "delta_z0": p.delta_z0, "n_max": p.n_max}
         section, key = param.split(".", 1)
         if section == "profile" and key in fields:
+            if key != "phi_tilde" and key != "z0":
+                _refuse_foreign_keys(p.kind, [param])
             fields[key] = value
             if key == "d_tilde" and self.auto_n_max:
                 fields["n_max"] = default_n_max(value)

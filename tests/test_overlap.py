@@ -8,7 +8,8 @@ from gravpulse import overlap
 from gravpulse.errors import NonConvergenceError, ValidityError
 from gravpulse.overlap import (SubPeak, evaluate_overlap, lambda_pure, overlap_batch,
                                overlap_mixed, overlap_multipeak, overlap_pure)
-from gravpulse.profiles import comb, gaussian_linear, gaussian_quadratic, modulus
+from gravpulse.profiles import (comb, gaussian_linear, gaussian_quadratic, modulus,
+                                phase_difference)
 
 
 @pytest.mark.parametrize("profile", [
@@ -89,28 +90,54 @@ def test_invalid_inputs():
 
 def test_point_overlap_evaluates_each_node_once(monkeypatch):
     # Re Lambda_p, Im Lambda_p and Delta_m are three quad integrals on the
-    # same bounds and breakpoints; they must share the modulus evaluations
-    # (two per distinct node) instead of repeating them per integral.
-    nodes = set()
-    modulus_calls = 0
+    # same bounds and breakpoints; they must share the evaluations of the
+    # profile's bound scalar modulus (two per distinct node) instead of
+    # repeating them per integral.
     scipy_quad = overlap.quad
+    for profile in (comb(10.0, 2.0, phi_tilde=1.0),
+                    comb(10.0, 2.0, phi_tilde=0.7, phase_kind="quadratic", delta_z0=0.4)):
+        nodes = set()
+        kernel_calls = 0
+        kernel = profile.scalar_modulus
 
-    def recording_quad(func, *args, **kwargs):
-        def integrand(x):
-            nodes.add(x)
-            return func(x)
-        return scipy_quad(integrand, *args, **kwargs)
+        def recording_quad(func, *args, **kwargs):
+            def integrand(x):
+                nodes.add(x)
+                return func(x)
+            return scipy_quad(integrand, *args, **kwargs)
 
-    def counting_modulus(profile, z):
-        nonlocal modulus_calls
-        modulus_calls += 1
-        return modulus(profile, z)
+        def counting_kernel(z):
+            nonlocal kernel_calls
+            kernel_calls += 1
+            return kernel(z)
 
-    monkeypatch.setattr(overlap, "quad", recording_quad)
-    monkeypatch.setattr(overlap, "modulus", counting_modulus)
-    evaluate_overlap(comb(10.0, 2.0, phi_tilde=1.0), 1.05, 0.3, tol=1e-12)
-    assert nodes
-    assert modulus_calls <= 2 * len(nodes)
+        monkeypatch.setattr(overlap, "quad", recording_quad)
+        monkeypatch.setitem(profile.__dict__, "scalar_modulus", counting_kernel)
+        evaluate_overlap(profile, 1.05, 0.3, tol=1e-12)
+        assert nodes
+        assert 0 < kernel_calls <= 2 * len(nodes)
+
+
+@pytest.mark.parametrize("profile", [
+    gaussian_linear(0.9, z0=3.0),
+    gaussian_quadratic(1.5, z0=5.0),
+    comb(10.0, 2.0, phi_tilde=1.0),
+    comb(10.0, 2.0, phi_tilde=0.7, phase_kind="quadratic", delta_z0=0.4, z0=1e6),
+])
+def test_point_node_is_modulus_product_and_phase_difference(profile, monkeypatch):
+    # the node's hoisted arithmetic reproduces modulus and phase_difference
+    # bit for bit
+    captured = []
+    monkeypatch.setattr(overlap, "_shared_node_quad",
+                        lambda node, lo, hi, *rest: captured.append((node, lo, hi)) or (0.0,))
+    chi, zb = 1.05, 0.3
+    overlap_mixed(profile, chi, zb)
+    node, lo, hi = captured[0]
+    for z in np.linspace(lo, hi, 201):
+        z = float(z)
+        value = node(z)
+        assert value.real == modulus(profile, chi * z + zb) * modulus(profile, z / chi)
+        assert value.imag == phase_difference(profile, chi, zb, z)
 
 
 @pytest.mark.parametrize("profile", [

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -153,6 +154,44 @@ def test_comb_array_modulus_matches_scalar_loop(sig, d):
     # the tooth sums differ only in summation order and in the terms below
     # exp(-60) that the scalar loop skips
     assert np.max(np.abs(arr - ref)) <= 16 * np.finfo(float).eps * modulus(p, 0.0)
+
+
+def _all_teeth_array_modulus(p, z):
+    """Array comb modulus summed over every tooth in ascending order with
+    the same np.exp, leaving out exponents >= 60: the reference the windowed
+    array sum must reproduce."""
+    z = np.asarray(z, dtype=float)
+    s2over4 = 0.25 * p.sigma_tilde**2
+    tooth_sum = np.zeros_like(z)
+    with np.errstate(over="ignore"):
+        for t in comb_tooth_positions(p):
+            e = s2over4 * (z - t) ** 2
+            np.add(tooth_sum, np.exp(-e), out=tooth_sum, where=e < 60.0)
+        envelope = np.exp(-0.25 * (z * z))
+    return tooth_sum * envelope * p.norm_constant
+
+
+@pytest.mark.parametrize("sig, d", [(10.0, 2.0), (25.0, 0.5), (13.0, 0.77), (100.0, 0.1)])
+def test_comb_array_modulus_matches_all_teeth_sum(sig, d):
+    p = comb(sig, d)
+    teeth = comb_tooth_positions(p)
+    reach = math.sqrt(60.0 / (0.25 * sig**2))
+    outer = teeth[-1] + reach
+    special = [math.inf, -math.inf, math.nan, 1e300, -1e300, 0.0, -0.0, outer + d, -outer - d]
+    edges = [x for t in teeth for edge in (t - reach, t + reach)
+             for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))]
+    zs = np.concatenate([special, edges, np.random.default_rng(5).uniform(-1.2 * outer,
+                                                                          1.2 * outer, 999)])
+    zs = zs[:zs.size - zs.size % 6]
+    for z in (zs, zs.reshape(6, -1), zs.reshape(-1, 3)[::-1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            arr = modulus(p, z)
+        assert arr.shape == z.shape
+        # bit for bit, NaN included
+        assert arr.tobytes() == _all_teeth_array_modulus(p, z).tobytes()
+    head = modulus(p, zs[:5])               # inf, -inf, nan, 1e300, -1e300
+    assert math.isnan(head[2]) and not head[[0, 1, 3, 4]].any()
 
 
 def _full_loop_modulus(p, z):

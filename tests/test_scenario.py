@@ -140,6 +140,21 @@ def test_delta_z0_on_linear_comb_is_refused(extra):
     assert quad.profile.kind is ProfileKind.COMB_QUADRATIC
 
 
+@pytest.mark.parametrize("kind, param, msg", [
+    *[("gaussian_linear", key, "only valid for comb profiles")
+      for key in ("profile.sigma_tilde", "profile.d_tilde", "profile.delta_z0",
+                  "profile.n_max")],
+    ("comb_linear", "profile.delta_z0", "only valid for comb_quadratic profiles"),
+])
+def test_with_param_refuses_keys_the_profile_drops(kind, param, msg):
+    # the Python API refuses what parse_scenario refuses in a scenario file
+    sc = parse_scenario(LINEAR_COMB if kind == "comb_linear" else BASIC)
+    with pytest.raises(ConfigError, match=f"{param} is {msg}"):
+        sc.with_param(param, 10.0)
+    quad = parse_scenario(LINEAR_COMB.replace("comb_linear", "comb_quadratic"))
+    assert quad.with_param("profile.delta_z0", 0.5).profile.delta_z0 == 0.5
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_scenario(BASIC + "profile.phi_tilde = 3\n")
