@@ -12,19 +12,19 @@ the corrected overlaps at rescaled shift z_bar are
 Both lie in [0, 1] up to quadrature tolerance, with Delta_p <= Delta_m, and
 equal 1 at chi = 1, z_bar = 0.
 
-Two numerical routes compute them.  `overlap_batch` is a trapezoid rule on
-fixed nodes that evaluates many shifts in one vectorized pass; the
-optimizer runs on it.  `lambda_pure`, `overlap_mixed` and
-`evaluate_overlap` use adaptive quadrature (scipy.integrate.quad, imported
-on first use) and serve point evaluations and the independent oracle of
-`gravpulse validate` and the tests; the integrals of one point share one
-integrand evaluation per node.
+Two numerical routes compute them, both in numpy.  `overlap_batch` is a
+trapezoid rule on fixed nodes that evaluates many shifts in one vectorized
+pass; the optimizer runs on it.  `lambda_pure`, `overlap_pure`,
+`overlap_mixed` and `evaluate_overlap` are views of one adaptive
+Gauss-Kronrod pass (`quad`) that integrates Re Lambda_p, Im Lambda_p and
+Delta_m together on one panel partition, evaluating the profile on arrays
+of nodes; they serve point evaluations and the independent oracle of
+`gravpulse validate` and the tests.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,12 +48,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-_QUAD_LIMIT = 2**16
 
 # overlap_batch: shifts are processed in chunks whose (shift x node)
 # temporaries stay within CHUNK_BYTES; refinement past MAX_INTERVALS node
 # intervals (from profiles) raises NonConvergenceError.  One shift at the
-# cap fits a chunk.
+# cap fits a chunk.  quad evaluates new panels in chunks within the same
+# budget.
 CHUNK_BYTES = 8 * 2**20
 # float64 (shift x node) arrays alive at once while one chunk is summed.
 _TEMPS_PER_POINT = 6
@@ -78,35 +78,133 @@ def _integration_bounds(profile: Profile, chi: float, z_bar: float) -> tuple[flo
     return lo, hi
 
 
-def _breakpoints(profile: Profile, chi: float, z_bar: float,
-                 lo: float, hi: float) -> list[float] | None:
+def _breakpoints(profile: Profile, chi: float, z_bar: float) -> np.ndarray:
+    """Where a comb tooth of either factor is centred: the panel edges of the
+    first quadrature partition."""
     if not profile.kind.is_comb:
-        return None
+        return np.empty(0)
     teeth = comb_tooth_positions(profile)
-    cand = np.concatenate([(teeth - z_bar) / chi, teeth * chi])
-    pts = sorted({float(p) for p in cand if lo < p < hi})
-    return pts or None
+    return np.concatenate([(teeth - z_bar) / chi, teeth * chi])
 
 
-def quad(func: Callable[[float], float], a: float, b: float, **kwargs):
-    """scipy.integrate.quad, imported on first use so that importing the
-    package does not load scipy.integrate."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(func, a, b, **kwargs)
+# -- adaptive Gauss-Kronrod quadrature -----------------------------------------
+
+# QUADPACK's 21-point Kronrod rule on [-1, 1] and its embedded 10-point Gauss
+# rule (Piessens et al., QUADPACK, 1983, routine qk21): the non-negative
+# Kronrod nodes, descending, then the Kronrod weights and the Gauss weights
+# of the nodes 0.97390..., 0.86506..., ..., 0.14887....
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208814930264, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651328)
+# The same rules on all 21 nodes, ascending; the Gauss weight of a
+# Kronrod-only node is zero.
+_NODES = np.concatenate([-np.array(_XGK[:10]), _XGK[::-1]])
+_KRONROD = np.concatenate([_WGK[:10], _WGK[::-1]])
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[11::2] = _WG[::-1]
+
+# Panels the partition may reach before quad gives up.
+_QUAD_PANELS = 2**16
+# float64 values per node alive at once while one chunk of panels is
+# evaluated and reduced: the nodes, the three components, one product of
+# them with a weight row, and the point integrand's own temporaries
+# (measured: 9.5 per node at the chunk budget).
+_TEMPS_PER_NODE = 10
+_EPS = np.finfo(float).eps
 
 
-def _quad(func: Callable[[float], float], lo: float, hi: float,
-          pts: list[float] | None, tol: float) -> float:
-    from scipy.integrate import IntegrationWarning
+def quad(func: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float,
+         points=()) -> np.ndarray:
+    """The k integrals over [lo, hi] of an integrand with k components, by
+    one adaptive Gauss-Kronrod pass.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(func, lo, hi, epsabs=tol * 1e-2, epsrel=1e-13,
-                        limit=_QUAD_LIMIT, points=pts)
-    if err > tol:
+    `func` maps a 1-D array of nodes to a (k, nodes) array.  All components
+    share one panel partition, which starts as [lo, hi] split at the
+    `points` inside it.  A panel's error estimate is the largest of its
+    components' QUADPACK estimates: |K21 - G10| scaled to
+    resasc*min(1, (200*|K21 - G10|/resasc)**1.5), and at least 50*eps*resabs
+    for round-off.  Refinement is global: each round bisects the fewest
+    largest-error panels whose removal would leave the others' summed
+    estimate within max(tol*1e-2, 1e-13*max|I|), and evaluates the new
+    panels' nodes in one `func` call per chunk of CHUNK_BYTES, until the
+    summed estimate meets that target.
+
+    Raises NonConvergenceError when the estimate exceeds `tol`, or when the
+    partition would pass _QUAD_PANELS panels before meeting the target.
+    """
+    if not lo < hi:
+        raise ValidityError(f"quad needs lo < hi, got [{lo!r}, {hi!r}]")
+    points = np.asarray(points, dtype=float)
+    edges = np.unique(np.concatenate([[lo, hi], points[(points > lo) & (points < hi)]]))
+    left, right = edges[:-1], edges[1:]
+    val, err = _gauss_kronrod(func, left, right)
+    while True:
+        total = val.sum(axis=1)
+        est = float(err.sum())
+        target = max(1e-2 * tol, 1e-13 * float(np.abs(total).max()))
+        if est <= target:
+            break
+        free = _QUAD_PANELS - left.size
+        if free <= 0 or not math.isfinite(est):
+            raise NonConvergenceError(
+                f"overlap quadrature error {est:.2e} not within {target:.2e} "
+                f"after {left.size} panels")
+        order = np.argsort(-err, kind="stable")
+        rest = est - np.cumsum(err[order])
+        split = order[:min(np.count_nonzero(rest > target) + 1, left.size, free)]
+        mid = 0.5 * (left[split] + right[split])
+        new_left = np.concatenate([left[split], mid])
+        new_right = np.concatenate([mid, right[split]])
+        new_val, new_err = _gauss_kronrod(func, new_left, new_right)
+        keep = np.ones(left.size, dtype=bool)
+        keep[split] = False
+        left = np.concatenate([left[keep], new_left])
+        right = np.concatenate([right[keep], new_right])
+        val = np.concatenate([val[:, keep], new_val], axis=1)
+        err = np.concatenate([err[keep], new_err])
+    if est > tol:
         raise NonConvergenceError(
-            f"overlap quadrature error {err:.2e} exceeds tolerance {tol:g}")
-    return val
+            f"overlap quadrature error {est:.2e} exceeds tolerance {tol:g}")
+    return total
+
+
+def _gauss_kronrod(func, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per panel [left, right]: the K21 value of each component, (k, panels),
+    and the largest component error estimate, (panels,)."""
+    center = 0.5 * (left + right)
+    half = 0.5 * (right - left)
+    rows = max(1, CHUNK_BYTES // (8 * _TEMPS_PER_NODE * _NODES.size))
+    vals, errs = [], []
+    for s in range(0, left.size, rows):
+        h = half[s:s + rows]
+        f = func((center[s:s + rows, None] + h[:, None] * _NODES).ravel())
+        f = f.reshape(f.shape[0], h.size, _NODES.size)
+        # QUADPACK's qk21 on [-1, 1], scaled by the half-width at the end
+        resk = (f * _KRONROD).sum(axis=-1)
+        err = np.abs(resk - (f * _GAUSS).sum(axis=-1))
+        resabs = (np.abs(f) * _KRONROD).sum(axis=-1)
+        f -= 0.5 * resk[..., None]
+        resasc = (np.abs(f, out=f) * _KRONROD).sum(axis=-1)
+        del f       # freed before the next chunk's integrand allocates its own
+        # resasc = 0 means a constant integrand, whose |K21 - G10| is round-off
+        # that the floor covers.
+        ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=resasc > 0.0)
+        err = np.maximum(resasc * np.minimum(ratio, 1.0) ** 1.5, 50.0 * _EPS * resabs)
+        vals.append(resk * h)
+        errs.append(err.max(axis=0) * h)
+    return np.concatenate(vals, axis=1), np.concatenate(errs)
 
 
 def _check_inputs(chi: float, tol: float, z_bar):
@@ -119,87 +217,40 @@ def _check_inputs(chi: float, tol: float, z_bar):
         raise ValidityError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-# Distinct nodes one `_shared_node_quad` call stores; past the cap a node is
-# computed without being stored.  quad's limit of 2**16 subintervals of 21
-# nodes would otherwise allow ~1.4 M entries (about 250 MB).
-_NODE_MEMO_CAP = 2**15
+def _pure_and_mixed(weight: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """The three integrands Re, Im of weight*exp(i*dpsi) and weight, stacked."""
+    out = np.empty((3, weight.size))
+    np.cos(dpsi, out=out[0])
+    out[0] *= weight
+    np.sin(dpsi, out=out[1])
+    out[1] *= weight
+    out[2] = weight
+    return out
 
 
-def _shared_node_quad(node: Callable[[float], complex], lo: float, hi: float,
-                      pts: list[float] | None, tol: float,
-                      parts: tuple[str, ...]) -> tuple[float, ...]:
-    """One quad integral over [lo, hi] per name in `parts` ("re", "im",
-    "mixed") of node(z) = complex(weight, dpsi): Re and Im of
-    weight*exp(i*dpsi), and the weight alone.
-
-    The integrals visit the same Gauss-Kronrod nodes, so `node` is
-    evaluated once per distinct node and shared.  A node is kept as one
-    32-byte complex (a tuple of two floats takes 104 bytes).
-    """
-    memo: dict[float, complex] = {}
-    get, cap, cos, sin = memo.get, _NODE_MEMO_CAP, math.cos, math.sin
-
-    def miss(z: float) -> complex:
-        value = node(z)
-        if len(memo) < cap:
-            memo[z] = value
-        return value
-
-    def re(z: float) -> float:
-        value = get(z)
-        if value is None:
-            value = miss(z)
-        return value.real * cos(value.imag)
-
-    def im(z: float) -> float:
-        value = get(z)
-        if value is None:
-            value = miss(z)
-        return value.real * sin(value.imag)
-
-    def mixed(z: float) -> float:
-        value = get(z)
-        if value is None:
-            value = miss(z)
-        return value.real
-
-    integrands = {"re": re, "im": im, "mixed": mixed}
-    return tuple(_quad(integrands[part], lo, hi, pts, tol) for part in parts)
-
-
-def _point_integrals(profile: Profile, chi: float, z_bar: float, tol: float,
-                     parts: tuple[str, ...]) -> tuple[float, ...]:
-    """The integrals named in `parts` at (chi, z_bar), on the intersection
-    of the two supports with comb teeth as breakpoints."""
+def _point_integrals(profile: Profile, chi: float, z_bar: float,
+                     tol: float) -> tuple[float, float, float]:
+    """(Re Lambda_p, Im Lambda_p, Delta_m) at (chi, z_bar): one quad pass on
+    the intersection of the two supports, comb teeth as panel edges."""
     _check_inputs(chi, tol, z_bar)
     lo, hi = _integration_bounds(profile, chi, z_bar)
     if lo >= hi:
-        return (0.0,) * len(parts)
-    pts = _breakpoints(profile, chi, z_bar, lo, hi)
-    # The weight calls the profile's bound scalar modulus twice; the phase is
-    # phase_difference's arithmetic, in its order, with the constants of this
-    # (profile, chi, z_bar) hoisted.
-    f = profile.scalar_modulus
-    a = chi - 1.0 / chi
-    if profile.kind.has_quadratic_phase:
-        k, b, two_c = -profile.phi_tilde**2, chi + 1.0 / chi, 2.0 * profile.phase_center
+        return 0.0, 0.0, 0.0
 
-        def node(z: float) -> complex:
-            diff = a * z + z_bar
-            return complex(f(chi * z + z_bar) * f(z / chi), k * diff * (b * z + z_bar + two_c))
-    else:
-        k = -profile.phi_tilde
+    def integrand(z: np.ndarray) -> np.ndarray:
+        weight = modulus(profile, chi * z + z_bar)
+        weight *= modulus(profile, z / chi)
+        return _pure_and_mixed(weight, phase_difference(profile, chi, z_bar, z))
 
-        def node(z: float) -> complex:
-            return complex(f(chi * z + z_bar) * f(z / chi), k * (a * z + z_bar))
-
-    return _shared_node_quad(node, lo, hi, pts, tol, parts)
+    re, im, dm = quad(integrand, lo, hi, tol, _breakpoints(profile, chi, z_bar))
+    return float(re), float(im), float(dm)
 
 
 def lambda_pure(profile: Profile, chi: float, z_bar: float,
                 tol: float = DEFAULT_TOL) -> complex:
     """Complex pure-state overlap integral; |result| is Delta_p."""
-    return complex(*_point_integrals(profile, chi, z_bar, tol, ("re", "im")))
+    re, im, _ = _point_integrals(profile, chi, z_bar, tol)
+    return complex(re, im)
 
 
 def overlap_pure(profile: Profile, chi: float, z_bar: float,
@@ -211,14 +262,13 @@ def overlap_pure(profile: Profile, chi: float, z_bar: float,
 def overlap_mixed(profile: Profile, chi: float, z_bar: float,
                   tol: float = DEFAULT_TOL) -> float:
     """Delta_m: same integral with the phase removed."""
-    return _point_integrals(profile, chi, z_bar, tol, ("mixed",))[0]
+    return _point_integrals(profile, chi, z_bar, tol)[2]
 
 
 def evaluate_overlap(profile: Profile, chi: float, z_bar: float,
                      tol: float = DEFAULT_TOL) -> OverlapResult:
-    """Lambda_p, Delta_p and Delta_m at one point from one shared set of
-    integrand evaluations."""
-    re, im, dm = _point_integrals(profile, chi, z_bar, tol, ("re", "im", "mixed"))
+    """Lambda_p, Delta_p and Delta_m at one point from one quad pass."""
+    re, im, dm = _point_integrals(profile, chi, z_bar, tol)
     lam = complex(re, im)
     return OverlapResult(delta_p=abs(lam), delta_m=dm, lambda_p=lam)
 
@@ -345,7 +395,8 @@ def overlap_multipeak(envelope: Callable[[float], float],
                       z_extent: float = 30.0,
                       norm_tol: float = 1e-6) -> tuple[float, float]:
     """(Delta_p, Delta_m) for a profile of the form envelope(z) * sum of
-    sub-peaks, evaluated by direct quadrature over the product profile.
+    sub-peaks, evaluated by direct quadrature (`quad`) over the product
+    profile, whose scalar callables are called once per node.
 
     The double sum over peak pairs factorizes into the product of the two
     summed profiles, so this reduces exactly to the single-profile overlaps
@@ -363,20 +414,22 @@ def overlap_multipeak(envelope: Callable[[float], float],
             total += g
         return envelope(y) * total
 
-    pts = sorted({pk.center for pk in peaks}
-                 | {pk.center / chi for pk in peaks}
-                 | {(pk.center - z_bar) / chi for pk in peaks})
-    pts = [p for p in pts if -z_extent < p < z_extent] or None
-    norm = _quad(lambda y: combined(y) ** 2, -z_extent, z_extent, pts, tol)
+    def at(fn: Callable[[float], float], ys: np.ndarray) -> np.ndarray:
+        return np.array([fn(y) for y in ys.tolist()])
+
+    pts = [pk.center for pk in peaks] + [pk.center / chi for pk in peaks] \
+        + [(pk.center - z_bar) / chi for pk in peaks]
+    (norm,) = quad(lambda y: at(combined, y)[None] ** 2, -z_extent, z_extent, tol, pts)
     if abs(norm - 1.0) > norm_tol:
         raise ValidityError(
             f"combined multi-peak profile is not normalized: integral |F|^2 = {norm:.9g}")
 
     psi = envelope_phase if envelope_phase is not None else (lambda y: 0.0)
 
-    def node(z: float) -> complex:
-        return complex(combined(chi * z + z_bar) * combined(z / chi),
-                       psi(chi * z + z_bar) - psi(z / chi))
+    def integrand(z: np.ndarray) -> np.ndarray:
+        y = chi * z + z_bar
+        return _pure_and_mixed(at(combined, y) * at(combined, z / chi),
+                               at(psi, y) - at(psi, z / chi))
 
-    re, im, dm = _shared_node_quad(node, -z_extent, z_extent, pts, tol, ("re", "im", "mixed"))
-    return math.hypot(re, im), dm
+    re, im, dm = quad(integrand, -z_extent, z_extent, tol, pts)
+    return math.hypot(re, im), float(dm)

@@ -184,21 +184,24 @@ class Profile:
     @functools.cached_property
     def scalar_modulus(self) -> Callable[[float], float]:
         """|F(z)| of one float z, with the profile's constants bound once:
-        the one scalar code path of `modulus`, `evaluate` and `normalization`,
-        called directly at every node of a point quadrature."""
+        the scalar code path of `modulus` and `evaluate`.  Far out in the
+        tails, up to +-inf, it returns 0.0 as the array path does."""
         exp = math.exp
         if not self.kind.is_comb:
             norm = _GAUSS_NORM
-            return lambda z: norm * exp(-0.25 * z ** 2)
+            return lambda z: norm * exp(-0.25 * z * z)      # z * z overflows to inf, z**2 raises
         c = self.norm_constant
         s2over4 = 0.25 * self.sigma_tilde**2
         reach = math.sqrt(60.0 / s2over4)
         d, n, teeth = self.d_tilde, self.n_max, self._teeth
-        floor, ceil, isfinite = math.floor, math.ceil, math.isfinite
+        # Beyond the outermost tooth by twice the reach no tooth has e < 60;
+        # the test also keeps floor() below from meeting an infinite index.
+        edge = teeth[-1] + 2.0 * reach
+        floor, ceil = math.floor, math.ceil
 
         def comb_modulus(z: float) -> float:
             acc = 0.0
-            if isfinite(z):
+            if -edge < z < edge:
                 # Only teeth within `reach` of z can have e < 60.  Visit that
                 # index window, rounded outwards, in ascending order: the same
                 # terms are summed in the same order as over all teeth.  (Two
@@ -389,21 +392,13 @@ def phase_difference(profile: Profile, chi: float, z_bar: float, z: float) -> fl
 
 
 def normalization(profile: Profile) -> float:
-    """Quadrature of |F|^2 over the truncation domain.
+    """Quadrature of |F|^2 over the truncation domain, with the comb teeth as
+    breakpoints: the mixed overlap at chi = 1, z_bar = 0.
 
     Must come out as 1 within 1e-8 for any valid profile; the deviation
     measures tail truncation and quadrature error.  Raises
     NonConvergenceError when the quadrature error estimate exceeds 1e-10.
     """
-    from scipy.integrate import quad
+    from .overlap import overlap_mixed     # overlap imports this module
 
-    lim = profile.z_extent
-    pts = list(profile._teeth) if profile.kind.is_comb else None
-    f = profile.scalar_modulus
-    val, err = quad(lambda x: f(x) ** 2, -lim, lim,
-                    epsabs=1e-12, epsrel=1e-12,
-                    limit=max(200, 20 * (len(pts) if pts else 1)), points=pts)
-    if err > 1e-10:
-        raise NonConvergenceError(
-            f"normalization quadrature error {err:.2e} exceeds 1e-10")
-    return val
+    return overlap_mixed(profile, 1.0, 0.0, tol=1e-10)

@@ -689,12 +689,39 @@ def test_purity_rejects_too_few_bins(capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_import_cli_leaves_scipy_integrate_unloaded():
-    code = "import sys, gravpulse.cli; print('scipy.integrate' in sys.modules)"
+def test_import_cli_leaves_scipy_integrate_unloaded(tmp_path):
+    # Stricter than "not imported": in a child where every `import scipy...`
+    # fails, the commands that used to load scipy.integrate all run.
+    families = {
+        "gaussian_linear": "profile.phi_tilde = 2.0\n",
+        "gaussian_quadratic": "profile.phi_tilde = 0.8\nprofile.z0 = 3\n",
+        "comb_linear": "profile.phi_tilde = 1.0\nprofile.sigma_tilde = 10\n"
+                       "profile.d_tilde = 2\n",
+        "comb_quadratic": "profile.phi_tilde = 1.5\nprofile.sigma_tilde = 10\n"
+                          "profile.d_tilde = 2\nprofile.delta_z0 = 0.3\n",
+    }
+    frame = ("spacetime.chi = 1.001\nframe.omega0_rad_s = 1.215e15\n"
+             "frame.sigma_rad_s = 1e9\n")
+    runs = []
+    for kind, fields in families.items():
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(frame + f"profile.kind = {kind}\n" + fields)
+        runs.append(["overlap", "--config", str(path), "--z-bar", "0.3"])
+    sweep = tmp_path / "photons.cfg"
+    sweep.write_text(DESK + "photons.kind = coherent\nphotons.n_mean = 1\n"
+                     "sweep.param = photons.n_mean\nsweep.start = 0\n"
+                     "sweep.stop = 200\nsweep.count = 3\n")
+    runs += [["sweep", "--config", str(sweep)],
+             ["purity", "--config", str(tmp_path / "comb_quadratic.cfg"), "--bins", "4096"],
+             ["validate", "--level", "full"]]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gravpulse.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip().splitlines()[-1] == str([0] * len(runs))
 
 
 # r_s/r_a = 0.04: inside the 5e-2 series bound, where delta1 + delta2 misses

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,33 +91,34 @@ def test_invalid_inputs():
 
 
 def test_point_overlap_evaluates_each_node_once(monkeypatch):
-    # Re Lambda_p, Im Lambda_p and Delta_m are three quad integrals on the
-    # same bounds and breakpoints; they must share the evaluations of the
-    # profile's bound scalar modulus (two per distinct node) instead of
-    # repeating them per integral.
-    scipy_quad = overlap.quad
+    # Re Lambda_p, Im Lambda_p and Delta_m are three components of one
+    # integrand on one panel partition: each array call to quad's integrand
+    # evaluates the modulus twice on arrays of its nodes, and no node is
+    # visited twice.
+    real_quad, real_modulus = overlap.quad, overlap.modulus
     for profile in (comb(10.0, 2.0, phi_tilde=1.0),
                     comb(10.0, 2.0, phi_tilde=0.7, phase_kind="quadratic", delta_z0=0.4)):
-        nodes = set()
-        kernel_calls = 0
-        kernel = profile.scalar_modulus
+        nodes = []
+        modulus_elements = 0
 
         def recording_quad(func, *args, **kwargs):
             def integrand(x):
-                nodes.add(x)
+                nodes.append(x.copy())
                 return func(x)
-            return scipy_quad(integrand, *args, **kwargs)
+            return real_quad(integrand, *args, **kwargs)
 
-        def counting_kernel(z):
-            nonlocal kernel_calls
-            kernel_calls += 1
-            return kernel(z)
+        def counting_modulus(profile, z):
+            nonlocal modulus_elements
+            modulus_elements += np.size(z)
+            return real_modulus(profile, z)
 
         monkeypatch.setattr(overlap, "quad", recording_quad)
-        monkeypatch.setitem(profile.__dict__, "scalar_modulus", counting_kernel)
+        monkeypatch.setattr(overlap, "modulus", counting_modulus)
         evaluate_overlap(profile, 1.05, 0.3, tol=1e-12)
-        assert nodes
-        assert 0 < kernel_calls <= 2 * len(nodes)
+        visited = np.concatenate(nodes)
+        assert visited.size
+        assert np.unique(visited).size == visited.size
+        assert modulus_elements == 2 * visited.size
 
 
 @pytest.mark.parametrize("profile", [
@@ -125,19 +128,21 @@ def test_point_overlap_evaluates_each_node_once(monkeypatch):
     comb(10.0, 2.0, phi_tilde=0.7, phase_kind="quadratic", delta_z0=0.4, z0=1e6),
 ])
 def test_point_node_is_modulus_product_and_phase_difference(profile, monkeypatch):
-    # the node's hoisted arithmetic reproduces modulus and phase_difference
-    # bit for bit
+    # the integrand's three components are built from the modulus and
+    # phase_difference arrays bit for bit
     captured = []
-    monkeypatch.setattr(overlap, "_shared_node_quad",
-                        lambda node, lo, hi, *rest: captured.append((node, lo, hi)) or (0.0,))
+    monkeypatch.setattr(overlap, "quad",
+                        lambda func, lo, hi, *rest: captured.append((func, lo, hi)) or (0.0,) * 3)
     chi, zb = 1.05, 0.3
     overlap_mixed(profile, chi, zb)
-    node, lo, hi = captured[0]
-    for z in np.linspace(lo, hi, 201):
-        z = float(z)
-        value = node(z)
-        assert value.real == modulus(profile, chi * z + zb) * modulus(profile, z / chi)
-        assert value.imag == phase_difference(profile, chi, zb, z)
+    func, lo, hi = captured[0]
+    z = np.linspace(lo, hi, 201)
+    re, im, weight = func(z)
+    expected = modulus(profile, chi * z + zb) * modulus(profile, z / chi)
+    dpsi = phase_difference(profile, chi, zb, z)
+    assert np.array_equal(weight, expected)
+    assert np.array_equal(re, expected * np.cos(dpsi))
+    assert np.array_equal(im, expected * np.sin(dpsi))
 
 
 @pytest.mark.parametrize("profile", [
@@ -146,12 +151,14 @@ def test_point_node_is_modulus_product_and_phase_difference(profile, monkeypatch
     comb(10.0, 2.0, phi_tilde=0.7, phase_kind="quadratic", delta_z0=0.4),
 ])
 def test_point_overlap_is_independent_of_node_memo_cap(profile, monkeypatch):
+    # The node memo is gone: the point views are one pass, and the chunk
+    # budget that bounds its memory does not change a bit of the result.
     chi, zb, tol = 1.05, 0.3, 1e-12
     ref = evaluate_overlap(profile, chi, zb, tol=tol)
     assert ref.lambda_p == lambda_pure(profile, chi, zb, tol=tol)
     assert ref.delta_m == overlap_mixed(profile, chi, zb, tol=tol)
-    for cap in (0, 7):
-        monkeypatch.setattr(overlap, "_NODE_MEMO_CAP", cap)
+    for budget in (1, 20_000):
+        monkeypatch.setattr(overlap, "CHUNK_BYTES", budget)
         assert evaluate_overlap(profile, chi, zb, tol=tol) == ref
 
 
@@ -298,3 +305,106 @@ def test_quadrature_rejects_nonfinite_shift(z_bar):
         lambda_pure(gaussian_linear(1.0), 1.05, z_bar)
     with pytest.raises(ValidityError):
         overlap_mixed(gaussian_linear(1.0), 1.05, z_bar)
+
+
+# -- adaptive Gauss-Kronrod quadrature -------------------------------------------
+
+
+@pytest.mark.parametrize("weights, degree", [("_KRONROD", 31), ("_GAUSS", 19)],
+                         ids=["K21", "G10"])
+def test_gauss_kronrod_rule_exactness(weights, degree):
+    w, x = getattr(overlap, weights), overlap._NODES
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(w, x**k) - exact) <= 1e-15, k
+    # and no further: the weights sit on the right nodes
+    assert abs(np.dot(w, x ** (degree + 1)) - 2.0 / (degree + 2)) > 1e-13
+
+
+def _scipy_point(profile, chi, z_bar, tol):
+    """(Lambda_p, Delta_m) from three scalar scipy.integrate.quad integrals on
+    the same support and breakpoints, with the same tolerances and the same
+    error contract: an independent reference for overlap.quad."""
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as scipy_quad
+
+    lo, hi = overlap._integration_bounds(profile, chi, z_bar)
+    pts = sorted({float(p) for p in overlap._breakpoints(profile, chi, z_bar)
+                  if lo < p < hi}) or None
+
+    def weight(z):
+        return modulus(profile, chi * z + z_bar) * modulus(profile, z / chi)
+
+    def re(z):
+        return weight(z) * math.cos(phase_difference(profile, chi, z_bar, z))
+
+    def im(z):
+        return weight(z) * math.sin(phase_difference(profile, chi, z_bar, z))
+
+    parts = []
+    for func in (re, im, weight):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, err = scipy_quad(func, lo, hi, epsabs=tol * 1e-2, epsrel=1e-13,
+                                  limit=2**16, points=pts)
+        if err > tol:
+            raise NonConvergenceError(f"scipy quad error {err:.2e}")
+        parts.append(val)
+    return complex(parts[0], parts[1]), parts[2]
+
+
+def _fuzz_draw(rng):
+    chi, z_bar, tol = rng.uniform(0.7, 1.5), rng.uniform(-10.0, 10.0), rng.choice([1e-10, 1e-12])
+    family = rng.integers(4)
+    if family == 0:
+        return gaussian_linear(rng.uniform(-5, 5), z0=rng.uniform(0, 100)), chi, z_bar, tol
+    if family == 1:
+        return gaussian_quadratic(rng.uniform(0, 5), z0=rng.uniform(0, 100)), chi, z_bar, tol
+    sigma, d = rng.uniform(5, 40), rng.uniform(0.3, 3)
+    if sigma * d < 10.0:
+        return None
+    if family == 2:
+        return comb(sigma, d, phi_tilde=rng.uniform(-5, 5)), chi, z_bar, tol
+    return comb(sigma, d, phi_tilde=rng.uniform(0, 5), phase_kind="quadratic",
+                delta_z0=rng.uniform(-1, 1)), chi, z_bar, tol
+
+
+def _outcome(point):
+    try:
+        return point()
+    except NonConvergenceError:
+        return None
+
+
+def test_point_quadrature_matches_scipy_on_a_fuzz_sample():
+    # chi in [0.7, 1.5], z_bar in +-10, Gaussians with phi <= 5 and z0 <= 100,
+    # combs with sigma 5-40 and d 0.3-3, at tol 1e-10 and 1e-12
+    rng = np.random.default_rng(20261017)
+    checked = 0
+    while checked < 48:
+        draw = _fuzz_draw(rng)
+        if draw is None:
+            continue
+        profile, chi, z_bar, tol = draw
+        ref = _outcome(lambda: _scipy_point(profile, chi, z_bar, tol))
+        res = _outcome(lambda: evaluate_overlap(profile, chi, z_bar, tol=tol))
+        assert (ref is None) == (res is None)
+        if res is not None:
+            assert abs(res.lambda_p - ref[0]) <= tol
+            assert abs(res.delta_m - ref[1]) <= tol
+        checked += 1
+
+
+def test_point_quadrature_memory_at_the_panel_cap():
+    # z0 ~ 1e6 at chi = 1.05: the phase is unresolvable within 2**16 panels
+    prof = gaussian_quadratic(1.0, z0=1.215e6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError, match="65536 panels"):
+            evaluate_overlap(prof, 1.05, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of node temporaries, plus the partition: fewer than 16 float64
+    # per panel (edges, values, errors and one round's copies of them)
+    assert peak < overlap.CHUNK_BYTES + 16 * 8 * 2**16

@@ -230,6 +230,15 @@ def test_comb_scalar_modulus_matches_full_tooth_loop(sig, d, n_max):
     assert modulus(p, float("inf")) == 0.0 and modulus(p, -1e300) == 0.0
 
 
+@pytest.mark.parametrize("profile, z", [
+    (gaussian_linear(0.0), 1e200), (gaussian_linear(0.0), -1.7e308),
+    (comb(100.0, 0.1), 1.7e308), (comb(100.0, 0.1), -1.7e308),
+], ids=["gaussian-1e200", "gaussian--1.7e308", "comb-1.7e308", "comb--1.7e308"])
+def test_scalar_modulus_is_zero_far_in_the_tails(profile, z):
+    # the array path gives 0.0 there; the scalar kernel must not overflow
+    assert modulus(profile, z) == 0.0
+
+
 def test_comb_preconditions():
     with pytest.raises(ValidityError):
         comb(3.0, 4.0)            # sigma_tilde too small
